@@ -32,13 +32,14 @@ from .power import (
 from .inner import ConstraintSet, feasible_point, solve_inner
 from .dinkelbach import solve_pce
 from .sca import Surrogate, build_surrogate, sca_step, solve_ipce
-from .harness import ExperimentConfig, ResultRow, run_point, sweep_m, sweep_rho_f
+from .harness import ExperimentConfig, Instance, ResultRow, build_instance, run_point, sweep_m, sweep_rho_f
 from .reports import KktReport, SolveReport
 
 __all__ = [
     "ChannelRealization",
     "ConstraintSet",
     "ExperimentConfig",
+    "Instance",
     "KktReport",
     "MmseStats",
     "PowerAllocation",
@@ -50,6 +51,7 @@ __all__ = [
     "Surrogate",
     "Topology",
     "ZfStatistics",
+    "build_instance",
     "build_surrogate",
     "check_feasibility",
     "draw_realization",

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .inner import ConstraintSet, feasible_point, solve_inner
+from .inner import ConstraintSet, NonConcaveObjectiveError, feasible_point, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -106,7 +106,8 @@ def solve_pce(
 
         def hessian(x):
             diag = -rate_coeff * prelog * rho_hat**2 / ((1.0 + rho_hat * x) ** 2 * ln2)
-            assert np.all(diag < 0.0), "parametric objective lost concavity"
+            if not np.all(diag < 0.0):
+                raise NonConcaveObjectiveError("parametric objective lost concavity")
             return np.diag(diag)
 
         # zero-clipped coordinates sit just below the interior floor; lift them

@@ -1,10 +1,12 @@
 """Experiment runner: seeded Monte Carlo over topologies and scheme comparison.
 
-A run point draws one topology, builds the fading and estimation statistics,
-estimates the zero-forcing expectations, and evaluates three power-control
-schemes: the equal-power baseline, the perfect-CSI optimizer, and the
-imperfect-CSI optimizer. Sweeps aggregate run points over AP counts or
-per-AP transmit powers and write schema-stable CSV files.
+An instance draws one topology, builds the fading and estimation statistics,
+and estimates the zero-forcing expectations; none of this depends on the
+per-AP transmit power. A run point evaluates three power-control schemes on
+an instance at one transmit power: the equal-power baseline, the perfect-CSI
+optimizer, and the imperfect-CSI optimizer. Sweeps build each instance once,
+aggregate run points over AP counts or per-AP transmit powers, and write
+schema-stable CSV files.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from .power import (
     energy_efficiency,
     equal_power_allocation,
     make_power_params,
+    noise_power_watts,
     per_user_rate,
 )
 from .propagation import generate_topology, large_scale_fading, mmse_stats
 from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE
 from .sca import solve_ipce
-from .zfstats import estimate_zf_statistics
+from .zfstats import ZfStatistics, estimate_zf_statistics
 
 CSV_HEADER = "scheme,M,K,rho_f_w,qos_rule,seed,ee_bits_per_joule,sum_se,iters,status,wall_ms"
 AGGREGATE_HEADER = (
@@ -211,17 +214,39 @@ def run_seed(config: ExperimentConfig, topology_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_point(config: ExperimentConfig, m: int, rho_f_w: float, seed: int) -> list:
-    """One topology draw evaluated under every requested scheme.
+@dataclass(frozen=True)
+class Instance:
+    """The rho_f-independent part of a run point: one topology at one AP count."""
 
-    Fully deterministic given (config, m, rho_f_w, seed). Infeasible or
-    failed solves are reported as rows with their status rather than dropped.
+    seed: int
+    zf: ZfStatistics
+
+
+def build_instance(config: ExperimentConfig, m: int, seed: int) -> Instance:
+    """Topology, fading, MMSE and zero-forcing statistics for one topology draw.
+
+    Nothing here depends on the per-AP transmit power, so one instance serves
+    every rho_f of a sweep. Fully deterministic given (config, m, seed).
     """
     ss = np.random.SeedSequence(seed)
     s_topo, s_shadow, s_zf = ss.spawn(3)
     topo = generate_topology(m, config.k, config.area_side_km, s_topo)
     beta = large_scale_fading(topo, config.sigma_shad_db, config.d_min_km, np.random.default_rng(s_shadow))
-    tau_u = config.tau_u_samples()
+    # The same normalization make_power_params applies to the uplink power.
+    rho_r = config.rho_r_w / noise_power_watts(config.bandwidth_hz, config.noise_figure_db)
+    stats = mmse_stats(beta, rho_r, config.tau_u_samples())
+    zf = estimate_zf_statistics(stats, config.n_mc, np.random.default_rng(s_zf))
+    return Instance(seed=seed, zf=zf)
+
+
+def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float) -> list:
+    """One instance evaluated at one per-AP power under every requested scheme.
+
+    Fully deterministic given (config, instance, rho_f_w). Infeasible or
+    failed solves are reported as rows with their status rather than dropped.
+    """
+    zf = instance.zf
+    m = zf.n_aps
     params = make_power_params(
         m=m,
         bandwidth_hz=config.bandwidth_hz,
@@ -229,15 +254,13 @@ def run_point(config: ExperimentConfig, m: int, rho_f_w: float, seed: int) -> li
         p_ul_watts=config.rho_r_w,
         noise_figure_db=config.noise_figure_db,
         tau=config.tau,
-        tau_u=tau_u,
+        tau_u=config.tau_u_samples(),
         drain_efficiency=config.drain_efficiency,
         p_cir_watts=config.p_cir_w,
         p_cm_watts=config.p_cm_w,
         p_0m_watts=config.p_0m_w,
         p_bt_watts_per_gbps=config.p_bt_w_per_gbps,
     )
-    stats = mmse_stats(beta, params.rho_r, tau_u)
-    zf = estimate_zf_statistics(stats, config.n_mc, np.random.default_rng(s_zf))
 
     equal = equal_power_allocation(zf.theta)
     equal_rates = per_user_rate(equal.eta, zf.gamma, params)
@@ -275,7 +298,7 @@ def run_point(config: ExperimentConfig, m: int, rho_f_w: float, seed: int) -> li
                 k=config.k,
                 rho_f_w=rho_f_w,
                 qos_rule=qos_rule,
-                seed=seed,
+                seed=instance.seed,
                 ee_bits_per_joule=ee,
                 sum_se=sum_se,
                 iters=iters,
@@ -295,23 +318,23 @@ def _scheme_metrics(alloc, zf_view, params) -> tuple:
 
 def sweep_m(config: ExperimentConfig) -> list:
     """Rows over every (M, topology) pair at the first configured rho_f."""
-    config.validate()
-    rho_f_w = config.rho_f_w_list[0]
-    rows = []
-    for m in config.m_list:
-        for t in range(config.n_topologies):
-            rows.extend(run_point(config, m, rho_f_w, run_seed(config, t)))
-    return _sorted_rows(rows)
+    return _sweep(config, config.m_list, config.rho_f_w_list[:1])
 
 
 def sweep_rho_f(config: ExperimentConfig) -> list:
     """Rows over every (rho_f, topology) pair at the first configured M."""
+    return _sweep(config, config.m_list[:1], config.rho_f_w_list)
+
+
+def _sweep(config: ExperimentConfig, m_list: list, rho_f_list: list) -> list:
+    """Build each (M, topology) instance once and evaluate every rho_f on it."""
     config.validate()
-    m = config.m_list[0]
     rows = []
-    for rho_f_w in config.rho_f_w_list:
+    for m in m_list:
         for t in range(config.n_topologies):
-            rows.extend(run_point(config, m, rho_f_w, run_seed(config, t)))
+            instance = build_instance(config, m, run_seed(config, t))
+            for rho_f_w in rho_f_list:
+                rows.extend(run_point(config, instance, rho_f_w))
     return _sorted_rows(rows)
 
 

@@ -66,12 +66,10 @@ def zf_matrix(g_hat: np.ndarray) -> np.ndarray:
     Raises SingularChannelError when the K x K Gram matrix is
     ill-conditioned beyond CONDITION_LIMIT.
     """
-    g_hat = np.asarray(g_hat)
-    gram = g_hat.T @ g_hat.conj()
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularChannelError(f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return g_hat.conj() @ np.linalg.inv(gram)
+    precoder, ok = _batched_zf(np.asarray(g_hat)[None])
+    if not ok[0]:
+        raise SingularChannelError(f"Gram matrix condition number exceeds {CONDITION_LIMIT:.0e}")
+    return precoder[0]
 
 
 def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 512) -> ZfStatistics:
@@ -96,25 +94,17 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 5
     gamma_sq = np.zeros((k, k))
     accepted = 0
     attempts = 0
-    max_attempts = 2 * n_mc + 1000
 
-    while accepted < n_mc:
-        b = min(batch_size, n_mc - accepted)
-        g_hat = _complex_gaussian(stats.var_hat, rng, extra_shape=(b,))
-        attempts += b
-        precoder, _ = _batched_zf(g_hat)  # rejected draws already dropped
+    for precoder, _, drawn in _zf_batches(stats, n_mc, rng, batch_size):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
-        gamma_draw = np.einsum("mk,bmi->bki", stats.var_err, abs_b2)
+        gamma_draw = stats.var_err.T @ abs_b2
         theta_sum += abs_b2.sum(axis=0)
         theta_sq += (abs_b2**2).sum(axis=0)
         gamma_sum += gamma_draw.sum(axis=0)
         gamma_sq += (gamma_draw**2).sum(axis=0)
         accepted += abs_b2.shape[0]
-        if attempts > max_attempts:
-            raise SingularChannelError(
-                f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts"
-            )
+        attempts += drawn
 
     rejected = attempts - accepted
     if rejected / attempts > 0.01:
@@ -153,34 +143,23 @@ def validate_sinr(
     """
     eta = np.asarray(eta, dtype=float)
     rng = np.random.default_rng(rng)
-    m, k = stats.shape
+    k = stats.shape[1]
     amp = np.sqrt(eta)
 
     interf_sum = np.zeros(k)
     interf_sq = np.zeros(k)
     accepted = 0
-    attempts = 0
-    max_attempts = 2 * n_mc + 1000
 
-    while accepted < n_mc:
-        b = min(batch_size, n_mc - accepted)
-        g_hat = _complex_gaussian(stats.var_hat, rng, extra_shape=(b,))
-        g_err = _complex_gaussian(stats.var_err, rng, extra_shape=(b,))
-        attempts += b
-        precoder, ok = _batched_zf(g_hat)
-        if not np.all(ok):
-            g_err = g_err[ok]
+    for precoder, g_err, _ in _zf_batches(stats, n_mc, rng, batch_size, with_error=True):
         nb = precoder.shape[0]
         symbols = np.exp(2j * np.pi * rng.random((nb, k)))
         # error channel of user k through the precoder columns: (b, K, K)
-        leak = np.einsum("bmk,bmi->bki", g_err, precoder)
-        interf_amp = np.sqrt(rho_f) * np.einsum("bki,i,bi->bk", leak, amp, symbols)
+        leak = np.swapaxes(g_err, 1, 2) @ precoder
+        interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols)[:, :, None])[:, :, 0]
         p = np.abs(interf_amp) ** 2
         interf_sum += p.sum(axis=0)
         interf_sq += (p**2).sum(axis=0)
         accepted += nb
-        if attempts > max_attempts:
-            raise SingularChannelError("rejection cap hit during signal-level validation")
 
     return SinrValidation(
         desired=rho_f * eta,
@@ -191,13 +170,45 @@ def validate_sinr(
     )
 
 
+def _zf_batches(stats: MmseStats, n_mc: int, rng, batch_size: int, with_error: bool = False):
+    """Batches of accepted zero-forcing draws until n_mc draws are accepted.
+
+    Each batch draws g_hat, then g_err when with_error is set, from rng in
+    that order, and drops the draws _batched_zf rejects. Yields
+    (precoder, g_err, drawn): g_err of the accepted draws or None, and the
+    number of draws attempted in the batch. Raises SingularChannelError once
+    more than 2 * n_mc + 1000 draws have been attempted.
+    """
+    accepted = 0
+    attempts = 0
+    max_attempts = 2 * n_mc + 1000
+    while accepted < n_mc:
+        b = min(batch_size, n_mc - accepted)
+        g_hat = _complex_gaussian(stats.var_hat, rng, extra_shape=(b,))
+        g_err = _complex_gaussian(stats.var_err, rng, extra_shape=(b,)) if with_error else None
+        attempts += b
+        precoder, ok = _batched_zf(g_hat)
+        accepted += precoder.shape[0]
+        yield precoder, (g_err[ok] if with_error else None), b
+        if attempts > max_attempts:
+            raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
+
+
 def _batched_zf(g_hat: np.ndarray) -> tuple:
-    """Precoders for a batch of draws plus the acceptance mask."""
-    gram = np.einsum("bmk,bml->bkl", g_hat, g_hat.conj())
-    cond = np.linalg.cond(gram)
+    """Precoders for a batch of draws (B, M, K) plus the acceptance mask.
+
+    The Gram matrix G^T conj(G) is Hermitian, so its 2-norm condition number
+    is max|lambda| / min|lambda| over its eigenvalues.
+    """
+    gram = np.swapaxes(g_hat, 1, 2) @ g_hat.conj()
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eig.max(axis=1) / eig.min(axis=1)
     ok = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
-    precoder = np.einsum("bmk,bkl->bml", g_hat[ok].conj(), np.linalg.inv(gram[ok]))
-    residual = np.einsum("bmk,bml->bkl", g_hat[ok], precoder)
+    if not ok.all():  # copy only when a draw is dropped: the batch dominates peak memory
+        g_hat, gram = g_hat[ok], gram[ok]
+    precoder = g_hat.conj() @ np.linalg.inv(gram)
+    residual = np.swapaxes(g_hat, 1, 2) @ precoder
     residual -= np.eye(g_hat.shape[2])
     worst = np.max(np.abs(residual)) if residual.size else 0.0
     if worst > ZF_IDENTITY_TOL:

@@ -4,7 +4,9 @@ from scipy.optimize import minimize_scalar
 
 from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
 
+from cellfree_ee import dinkelbach
 from cellfree_ee.dinkelbach import solve_pce
+from cellfree_ee.inner import NonConcaveObjectiveError
 from cellfree_ee.power import (
     QosSpec,
     ZfStatistics,
@@ -94,3 +96,16 @@ def test_full_power_variant_agrees_on_maximizer(small_instance):
     assert energy_efficiency(full.eta, zf0, params) == pytest.approx(
         energy_efficiency(reduced.eta, zf0, params), rel=1e-6
     )
+
+
+def test_uncertified_curvature_raises_typed_error(small_instance, monkeypatch):
+    # The concavity guard is a raise, not an assert that `python -O` strips:
+    # curvature that cannot be shown negative (NaN here) must stop the solve.
+    _, _, zf, params = small_instance
+
+    def probe_hessian(objective, constraints, start, tol):
+        objective[2](np.full_like(start, np.nan))
+
+    monkeypatch.setattr(dinkelbach, "solve_inner", probe_hessian)
+    with pytest.raises(NonConcaveObjectiveError, match="concavity"):
+        solve_pce(zf, params, loose_qos(zf, params))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cellfree_ee import harness
 from cellfree_ee.cli import EXIT_ALL_INFEASIBLE, EXIT_CONFIG_ERROR, EXIT_OK, main
 from cellfree_ee.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
     aggregate_rows,
+    build_instance,
     rows_to_csv,
     run_point,
     run_seed,
@@ -86,13 +88,13 @@ class TestRunPoint:
     def test_rows_deterministic(self):
         config = tiny_config()
         seed = run_seed(config, 0)
-        a = run_point(config, 12, 0.2, seed)
-        b = run_point(config, 12, 0.2, seed)
+        a = run_point(config, build_instance(config, 12, seed), 0.2)
+        b = run_point(config, build_instance(config, 12, seed), 0.2)
         assert a == b
 
     def test_equal_row_always_converged(self):
         config = tiny_config()
-        rows = run_point(config, 12, 0.2, run_seed(config, 0))
+        rows = run_point(config, build_instance(config, 12, run_seed(config, 0)), 0.2)
         equal = next(r for r in rows if r.scheme == "equal")
         assert equal.status == "converged"
         assert equal.iters == 0
@@ -100,13 +102,13 @@ class TestRunPoint:
     def test_optimizers_beat_baseline(self):
         config = tiny_config()
         for t in range(2):
-            rows = {r.scheme: r for r in run_point(config, 12, 0.2, run_seed(config, t))}
+            rows = {r.scheme: r for r in run_point(config, build_instance(config, 12, run_seed(config, t)), 0.2)}
             for scheme in ("pce", "ipce"):
                 assert rows[scheme].ee_bits_per_joule >= rows["equal"].ee_bits_per_joule - 1e-6
 
     def test_scheme_subset_respected(self):
         config = tiny_config(schemes=("equal", "ipce"))
-        rows = run_point(config, 12, 0.2, run_seed(config, 0))
+        rows = run_point(config, build_instance(config, 12, run_seed(config, 0)), 0.2)
         assert sorted(r.scheme for r in rows) == ["equal", "ipce"]
 
 
@@ -139,6 +141,27 @@ class TestSweeps:
         rows = sweep_rho_f(config)
         assert {r.m for r in rows} == {12}
         assert {r.rho_f_w for r in rows} == {0.2, 0.4}
+
+    def test_rho_sweep_estimates_once_per_topology(self, monkeypatch):
+        calls = []
+        estimate = harness.estimate_zf_statistics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_zf_statistics", counted)
+        config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=2)
+        rows = sweep_rho_f(config)
+        assert len(calls) == 2
+        # A fresh instance per point, as before the instance was shared.
+        pointwise = [
+            row
+            for rho in config.rho_f_w_list
+            for t in range(config.n_topologies)
+            for row in run_point(config, build_instance(config, 12, run_seed(config, t)), rho)
+        ]
+        assert rows == sorted(pointwise, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
 
     def test_aggregate_counts_infeasible(self):
         config = tiny_config(qos="50.0", schemes=("equal", "pce"), n_topologies=1)

@@ -3,7 +3,9 @@ import pytest
 
 from cellfree_ee.propagation import MmseStats, mmse_stats
 from cellfree_ee.zfstats import (
+    CONDITION_LIMIT,
     SingularChannelError,
+    _batched_zf,
     estimate_zf_statistics,
     validate_sinr,
     zf_matrix,
@@ -31,6 +33,31 @@ class TestZfMatrix:
         g = np.ones((5, 2), dtype=complex)  # identical columns
         with pytest.raises(SingularChannelError):
             zf_matrix(g)
+
+
+def _batch_with_planted_singular_draw():
+    rng = np.random.default_rng(21)
+    g = (rng.standard_normal((64, 12, 4)) + 1j * rng.standard_normal((64, 12, 4))) / np.sqrt(2)
+    g[17, :, 3] = g[17, :, 1]  # two equal columns: rank deficient
+    return g
+
+
+class TestBatchedZf:
+    def test_acceptance_mask_matches_svd_condition_number(self):
+        g = _batch_with_planted_singular_draw()
+        gram = np.swapaxes(g, 1, 2) @ g.conj()
+        expected = np.linalg.cond(gram) <= CONDITION_LIMIT
+        _, ok = _batched_zf(g)
+        assert not expected[17]
+        assert np.array_equal(ok, expected)
+
+    def test_precoders_match_explicit_inverse(self):
+        g = _batch_with_planted_singular_draw()
+        precoder, ok = _batched_zf(g)
+        assert precoder.shape == (int(ok.sum()), 12, 4)
+        for b, draw in zip(precoder, g[ok]):
+            reference = draw.conj() @ np.linalg.inv(draw.T @ draw.conj())
+            assert np.max(np.abs(b - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def _stats(m, k, scale=1.0, seed=0):
