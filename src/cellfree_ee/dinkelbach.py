@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .inner import ConstraintSet, NonConcaveObjectiveError, feasible_point, solve_inner
+from .inner import ConstraintSet, NonConcaveObjectiveError, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -47,57 +47,55 @@ def solve_pce(
     full ratio's; set use_full_power=True to iterate on the full consumption
     model instead. The reported energy efficiency always uses the full model.
 
+    Without interference each Dinkelbach subproblem is separable up to the
+    per-AP rows, so its optimum over the QoS floors is a clipped water level.
+    When that point leaves every per-AP row slack it is the exact subproblem
+    optimum (every per-AP multiplier is zero); otherwise the step falls back
+    to the log-barrier solver. The status is `converged` only when the
+    parametric gap closed and the last step's subproblem was solved to
+    tolerance.
+
     Returns (PowerAllocation or None, SolveReport).
     """
     t0 = time.perf_counter()
     zf0 = dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))
     report = SolveReport()
 
-    start = feasible_point(zf0, params, qos)
-    if start is None:
+    theta = zf.theta
+    if np.any(theta.max(axis=0) <= 0.0):
+        raise ValueError("theta has an all-zero column; a user consumes no power at any AP")
+    k = theta.shape[1]
+    eta_scale = float(equal_power_allocation(theta).eta[0])
+    theta_hat = theta * eta_scale
+    rho_hat = params.rho_f * eta_scale
+    # QoS floors are simple lower bounds once the interference term is gone,
+    # so the problem is feasible iff the floors alone leave every AP slack.
+    lower = np.maximum(qos.sinr_floor / rho_hat, 1e-12)
+    floor_load = float(np.max(theta_hat @ lower))
+    if not floor_load < 1.0:
         report.status = STATUS_INFEASIBLE
         report.wall_time_s = time.perf_counter() - t0
         return None, report
+    # theta_hat's largest row sum is 1, so half the spare load keeps every row slack.
+    start = lower + (1.0 - floor_load) / 2.0
 
-    theta = zf.theta
-    k = theta.shape[1]
-    eta_scale = float(equal_power_allocation(theta).eta[0])
-    rho_hat = params.rho_f * eta_scale
     prelog = params.prelog
     bandwidth = params.bandwidth_hz
+    p_fixed = params.p_fixed
     # Affine denominator in the scaled variable: d_hat . v + p_fixed (watts).
     d_hat = params.rho_f * params.n0_watts * (params.alpha @ theta) * eta_scale
     p_bt_sum = float(np.sum(params.p_btm))
-
-    constraints = ConstraintSet(k)
-    for row in theta * eta_scale:
-        constraints.add_linear(row, 1.0)
-    # QoS lower bounds are linear once the interference term is gone.
-    lower = np.maximum(qos.sinr_floor / rho_hat, 1e-12)
-    constraints.add_lower_bounds(lower)
+    ln2 = np.log(2.0)
+    constraints = None  # barrier rows, built on the first step that needs them
 
     def sum_rate(v):
         """Sum spectral efficiency at v, bits/s/Hz."""
         return prelog * float(np.sum(np.log2(1.0 + rho_hat * v)))
 
     def denominator(v):
-        return float(d_hat @ v) + params.p_fixed
+        return float(d_hat @ v) + p_fixed
 
-    v = start.eta / eta_scale
-    lam = reduced_energy_efficiency(start.eta, zf0, params)
-    if use_full_power:
-        lam = energy_efficiency(start.eta, zf0, params)
-    report.lambdas.append(lam)
-    report.ee_trajectory.append(energy_efficiency(start.eta, zf0, params))
-    report.iterates.append(start.eta)
-
-    status = STATUS_MAX_ITER
-    ln2 = np.log(2.0)
-    for _ in range(MAX_OUTER_ITERS):
-        # Subproblem objective, scaled by 1/bandwidth to stay order one.
-        rate_coeff = 1.0 - lam * p_bt_sum if use_full_power else 1.0
-        lam_hat = lam / bandwidth
-
+    def subproblem(rate_coeff, lam_hat):
         def value(x):
             return rate_coeff * sum_rate(x) - lam_hat * denominator(x)
 
@@ -110,10 +108,42 @@ def solve_pce(
                 raise NonConcaveObjectiveError("parametric objective lost concavity")
             return np.diag(diag)
 
-        # zero-clipped coordinates sit just below the interior floor; lift them
-        warm = np.maximum(v, lower + 1e-12)
-        v, kkt = solve_inner((value, gradient, hessian), constraints, warm, tol=inner_tol)
-        report.inner_reports.append(kkt)
+        return value, gradient, hessian
+
+    v = start
+    lam = reduced_energy_efficiency(eta_scale * v, zf0, params)
+    if use_full_power:
+        lam = energy_efficiency(eta_scale * v, zf0, params)
+    report.lambdas.append(lam)
+    report.ee_trajectory.append(energy_efficiency(eta_scale * v, zf0, params))
+    report.iterates.append(eta_scale * v)
+
+    status = STATUS_MAX_ITER
+    for _ in range(MAX_OUTER_ITERS):
+        # Subproblem objective, scaled by 1/bandwidth to stay order one.
+        rate_coeff = 1.0 - lam * p_bt_sum if use_full_power else 1.0
+        lam_hat = lam / bandwidth
+        if not rate_coeff > 0.0:
+            # The water level needs a concave rate term, as the barrier's Hessian check does.
+            raise NonConcaveObjectiveError("parametric objective lost concavity")
+
+        water = _water_level(rate_coeff * prelog, lam_hat * d_hat, rho_hat, lower)
+        if np.max(theta_hat @ water) < 1.0:
+            v = water
+            step_solved = True
+        else:
+            if constraints is None:
+                constraints = ConstraintSet(k)
+                for row in theta_hat:
+                    constraints.add_linear(row, 1.0)
+                constraints.add_lower_bounds(lower)
+            # zero-clipped coordinates sit just below the interior floor; lift them
+            warm = np.maximum(v, lower + 1e-12)
+            if np.max(constraints.residuals(warm)) >= 0.0:
+                warm = start  # the lift crossed a per-AP row: floors within 1e-12 of full load
+            v, kkt = solve_inner(subproblem(rate_coeff, lam_hat), constraints, warm, tol=inner_tol)
+            report.inner_reports.append(kkt)
+            step_solved = kkt.status == STATUS_CONVERGED
         report.outer_iterations += 1
         report.ee_trajectory.append(energy_efficiency(eta_scale * v, zf0, params))
         report.iterates.append(eta_scale * v)
@@ -129,9 +159,18 @@ def solve_pce(
         # Relative parametric gap: |N - lam D| <= tol * lam * D, i.e. the
         # ratio moved by less than tol relative.
         if abs(gap) <= gap_tol * max(lam_prev, lam) * denom:
-            status = STATUS_CONVERGED
+            status = STATUS_CONVERGED if step_solved else STATUS_MAX_ITER
             break
 
     report.status = status
     report.wall_time_s = time.perf_counter() - t0
     return PowerAllocation(eta=eta_scale * v), report
+
+
+def _water_level(weight: float, cost: np.ndarray, rho_hat: float, lower: np.ndarray) -> np.ndarray:
+    """Maximizer of sum_k weight * log2(1 + rho_hat v_k) - cost_k v_k over v >= lower.
+
+    Each term is concave in its own v_k, so the stationary point
+    weight / (ln2 cost_k) - 1/rho_hat clipped at the floor is the optimum.
+    """
+    return np.maximum(lower, weight / (np.log(2.0) * cost) - 1.0 / rho_hat)

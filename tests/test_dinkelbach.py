@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
@@ -14,6 +18,8 @@ from cellfree_ee.power import (
     energy_efficiency,
     equal_power_allocation,
     make_power_params,
+    reduced_energy_efficiency,
+    transmit_power_watts,
 )
 from cellfree_ee.reports import STATUS_CONVERGED, STATUS_INFEASIBLE
 
@@ -44,6 +50,10 @@ def test_two_user_grid_oracle(seed):
     zf0 = perfect_view(zf)
     alloc, report = solve_pce(zf, params, qos)
     assert report.status == STATUS_CONVERGED
+    # At M=8 the EE-optimal powers overload an AP, so the barrier fallback ran.
+    assert report.inner_reports
+    assert np.max(zf.theta @ alloc.eta) > 1.0 - 1e-6
+    assert check_feasibility(alloc.eta, zf0, params, qos).feasible
     ee = energy_efficiency(alloc.eta, zf0, params)
     best = grid_best_ee(zf0, params, qos)
     assert abs(ee - best) <= 0.01 * best
@@ -109,3 +119,99 @@ def test_uncertified_curvature_raises_typed_error(small_instance, monkeypatch):
     monkeypatch.setattr(dinkelbach, "solve_inner", probe_hessian)
     with pytest.raises(NonConcaveObjectiveError, match="concavity"):
         solve_pce(zf, params, loose_qos(zf, params))
+
+
+def test_slack_optimum_is_the_water_level():
+    # Forty APs for four users under a 1 W cap: no per-AP row binds.
+    _, _, zf, params = build_instance(40, 4, seed=2, n_mc=300, p_tx_watts=1.0)
+    qos = loose_qos(zf, params)
+    alloc, report = solve_pce(zf, params, qos)
+    assert report.status == STATUS_CONVERGED
+    assert not report.inner_reports
+    assert np.max(zf.theta @ alloc.eta) < 1.0
+
+    # Stationarity of B * sum_k r_k - lam * P(eta) in the original units, at
+    # the lambda of the last Dinkelbach step.
+    lam = report.lambdas[-2]
+    cost = params.rho_f * params.n0_watts * (params.alpha @ zf.theta)  # W per unit eta_k
+    floor = qos.sinr_floor / params.rho_f
+    level = params.bandwidth_hz * params.prelog / (np.log(2.0) * lam * cost) - 1.0 / params.rho_f
+    np.testing.assert_allclose(alloc.eta, np.maximum(floor, level), rtol=1e-12)
+    grad = params.bandwidth_hz * params.prelog * params.rho_f / (np.log(2.0) * (1.0 + params.rho_f * alloc.eta))
+    grad -= lam * cost
+    free = alloc.eta > floor
+    assert np.any(free)
+    assert np.all(np.abs(grad[free]) <= 1e-9 * lam * cost[free])
+    assert np.all(grad[~free] <= 1e-9 * lam * cost[~free])
+
+    # The full-consumption variant takes the closed form too and lands on the same point.
+    full, full_report = solve_pce(zf, params, qos, use_full_power=True)
+    assert full_report.status == STATUS_CONVERGED
+    assert not full_report.inner_reports
+    zf0 = perfect_view(zf)
+    assert energy_efficiency(full.eta, zf0, params) == pytest.approx(energy_efficiency(alloc.eta, zf0, params), rel=1e-9)
+
+
+@pytest.mark.parametrize("load", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_feasibility_boundary_is_exact(load):
+    # SINR floors at `load` times the equal-power SINR put the busiest AP at
+    # exactly `load` when every user sits on its floor.
+    _, _, zf, params = build_instance(12, 4, seed=4, n_mc=300)
+    eta_eq = equal_power_allocation(zf.theta).eta
+    qos = QosSpec.from_floor(params.prelog * np.log2(1.0 + load * params.rho_f * eta_eq), params)
+    floor_load = np.max(zf.theta @ (qos.sinr_floor / params.rho_f))
+    assert floor_load == pytest.approx(load, rel=1e-12, abs=0.0)
+
+    alloc, report = solve_pce(zf, params, qos)
+    if load < 1.0:
+        assert report.status != STATUS_INFEASIBLE
+        assert check_feasibility(alloc.eta, perfect_view(zf), params, qos).feasible
+    else:
+        assert alloc is None
+        assert report.status == STATUS_INFEASIBLE
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    fraction=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_closed_form_never_below_barrier_only(k, extra_aps, seed, p_tx_watts, fraction):
+    _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    qos = loose_qos(zf, params, fraction)
+    alloc, _ = solve_pce(zf, params, qos)
+    # An overloaded water level on every step sends each one to the barrier.
+    with mock.patch.object(dinkelbach, "_water_level", lambda weight, cost, rho_hat, lower: lower + np.inf):
+        barrier, _ = solve_pce(zf, params, qos)
+    zf0 = perfect_view(zf)
+    assert check_feasibility(alloc.eta, zf0, params, qos).feasible
+    ee, ee_barrier = energy_efficiency(alloc.eta, zf0, params), energy_efficiency(barrier.eta, zf0, params)
+    assert ee >= ee_barrier * (1.0 - 1e-9)
+
+
+def test_amplifier_power_matches_criterion_9_formula():
+    # With max load < 1 and no QoS floor binding, stationarity gives the
+    # amplifier power K B prelog / (ln2 EE_red) - alpha N0 sum_k c_k with
+    # c_k = sum_m theta_mk. The cap rho_f drops out, so it is the same at 0.2 W
+    # and 1.0 W: the criterion-9 shape (M=100, K=16, 1 bit/s/Hz floors).
+    _, _, zf, _ = build_instance(100, 16, seed=0, n_mc=400)
+    zf0 = perfect_view(zf)
+    watts = []
+    for p_tx_watts in (0.2, 1.0):
+        params = make_power_params(m=100, tau_u=16, p_tx_watts=p_tx_watts)
+        qos = QosSpec.from_floor(np.full(16, 1.0), params)
+        alloc, report = solve_pce(zf, params, qos)
+        assert report.status == STATUS_CONVERGED
+        assert np.max(zf.theta @ alloc.eta) < 1.0
+        assert np.all(alloc.eta > qos.sinr_floor / params.rho_f)
+        ee_red = reduced_energy_efficiency(alloc.eta, zf0, params)
+        predicted = 16 * params.bandwidth_hz * params.prelog / (np.log(2.0) * ee_red) - params.n0_watts * np.sum(
+            params.alpha @ zf.theta
+        )
+        amplifier = transmit_power_watts(alloc.eta, zf.theta, params)
+        assert amplifier == pytest.approx(predicted, rel=1e-6)
+        watts.append(amplifier)
+    assert watts[1] == pytest.approx(watts[0], rel=1e-6)
