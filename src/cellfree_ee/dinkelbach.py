@@ -133,10 +133,12 @@ def solve_pce(
             step_solved = True
         else:
             if constraints is None:
-                constraints = ConstraintSet(k)
-                for row in theta_hat:
-                    constraints.add_linear(row, 1.0)
-                constraints.add_lower_bounds(lower)
+                # Rows: per-AP load and the QoS floors v >= lower.
+                constraints = ConstraintSet(
+                    np.zeros((theta.shape[0] + k, k)),
+                    np.vstack([theta_hat, -np.eye(k)]),
+                    np.concatenate([np.ones(theta.shape[0]), -lower]),
+                )
             # zero-clipped coordinates sit just below the interior floor; lift them
             warm = np.maximum(v, lower + 1e-12)
             if np.max(constraints.residuals(warm)) >= 0.0:

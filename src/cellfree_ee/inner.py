@@ -39,58 +39,27 @@ class NonConcaveObjectiveError(RuntimeError):
 
 
 class ConstraintSet:
-    """Rows q.x^2 + a.x <= b over the provided number of variables."""
+    """Rows quad[i] . x^2 + lin[i] . x <= bound[i], from stacked (rows, n) arrays."""
 
-    def __init__(self, n_vars: int):
-        self.n_vars = n_vars
-        self._quad: list = []
-        self._lin: list = []
-        self._bound: list = []
-        self._stacked = None
+    def __init__(self, quad, lin, bound):
+        self.quad = np.asarray(quad, dtype=float)
+        self.lin = np.asarray(lin, dtype=float)
+        self.bound = np.asarray(bound, dtype=float)
+        if self.quad.ndim != 2 or self.lin.shape != self.quad.shape or self.bound.shape != self.quad.shape[:1]:
+            raise ValueError("quad and lin must be (rows, n_vars) and bound (rows,)")
+        bad = np.flatnonzero(np.any(self.quad < 0, axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: negative quadratic coefficient makes the row non-convex")
 
     def __len__(self) -> int:
-        return len(self._bound)
-
-    def add_quadratic(self, quad, lin, bound: float) -> None:
-        quad = np.asarray(quad, dtype=float)
-        lin = np.asarray(lin, dtype=float)
-        if quad.shape != (self.n_vars,) or lin.shape != (self.n_vars,):
-            raise ValueError("row coefficient shapes must match n_vars")
-        if np.any(quad < 0):
-            raise ValueError(f"row {len(self)}: negative quadratic coefficient makes the row non-convex")
-        self._quad.append(quad)
-        self._lin.append(lin)
-        self._bound.append(float(bound))
-        self._stacked = None
-
-    def add_linear(self, lin, bound: float) -> None:
-        self.add_quadratic(np.zeros(self.n_vars), lin, bound)
-
-    def add_lower_bounds(self, lower) -> None:
-        """One row -x_j <= -lower_j per variable."""
-        lower = np.broadcast_to(np.asarray(lower, dtype=float), (self.n_vars,))
-        for j in range(self.n_vars):
-            lin = np.zeros(self.n_vars)
-            lin[j] = -1.0
-            self.add_linear(lin, -lower[j])
-
-    def arrays(self) -> tuple:
-        if self._stacked is None:
-            self._stacked = (
-                np.array(self._quad, dtype=float),
-                np.array(self._lin, dtype=float),
-                np.array(self._bound, dtype=float),
-            )
-        return self._stacked
+        return self.bound.size
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """g(x) per row; feasible points give nonpositive values."""
-        quad, lin, bound = self.arrays()
-        return quad @ (x * x) + lin @ x - bound
+        return self.quad @ (x * x) + self.lin @ x - self.bound
 
     def row_grads(self, x: np.ndarray) -> np.ndarray:
-        quad, lin, _ = self.arrays()
-        return 2.0 * quad * x[None, :] + lin
+        return 2.0 * self.quad * x[None, :] + self.lin
 
 
 def solve_inner(
@@ -158,10 +127,9 @@ def _newton_stage(value, gradient, hessian, constraints, x, t, stationarity_tol)
         grad_phi = t * gradient(x) - rows.T @ inv_s
         if stationarity_tol is not None and np.max(np.abs(grad_phi)) / t <= stationarity_tol:
             return x, it
-        quad, _, _ = constraints.arrays()
         hess_obj = hessian(x)
         hess_phi = t * hess_obj
-        hess_phi = hess_phi - np.diag(2.0 * (quad.T @ inv_s))
+        hess_phi = hess_phi - np.diag(2.0 * (constraints.quad.T @ inv_s))
         hess_phi -= (rows * (inv_s**2)[:, None]).T @ rows
 
         step = _solve_newton(hess_phi, grad_phi)
@@ -251,19 +219,17 @@ def maximize_min_slack(constraints: ConstraintSet, x0: np.ndarray, tol: float = 
     above its start value, then maximizes -v. Returns (x, v_star, KktReport);
     v_star < 0 means x is strictly feasible with margin |v_star| in every row.
     """
-    n = constraints.n_vars
+    rows, n = constraints.quad.shape
     x0 = np.asarray(x0, dtype=float)
     v0 = float(np.max(constraints.residuals(x0))) + 1.0
 
-    lifted = ConstraintSet(n + 1)
-    quad, lin, bound = constraints.arrays()
-    for i in range(len(constraints)):
-        lifted.add_quadratic(
-            np.append(quad[i], 0.0), np.append(lin[i], -1.0), bound[i]
-        )
     cap = np.zeros(n + 1)
     cap[-1] = 1.0
-    lifted.add_linear(cap, v0 + 1.0)
+    lifted = ConstraintSet(
+        np.vstack([np.hstack([constraints.quad, np.zeros((rows, 1))]), np.zeros(n + 1)]),
+        np.vstack([np.hstack([constraints.lin, np.full((rows, 1), -1.0)]), cap]),
+        np.append(constraints.bound, v0 + 1.0),
+    )
 
     def value(z):
         return -z[-1]
@@ -306,18 +272,12 @@ def feasible_point(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     if np.any(sinr_floor >= params.rho_f / col_max):
         return None
 
-    cs = ConstraintSet(k)
-    for i in range(k):
-        # floor_i * (1 + rho_hat * gamma[i] . w) - rho_hat * w_i <= 0
-        lin = sinr_floor[i] * rho_hat * zf.gamma[i] - rho_hat * np.eye(k)[i]
-        cs.add_linear(lin, -sinr_floor[i])
-    for row in theta * eta_scale:
-        cs.add_linear(row, 1.0)
-    cs.add_lower_bounds(0.0)
-    for j in range(k):
-        lin = np.zeros(k)
-        lin[j] = 1.0
-        cs.add_linear(lin, 2.0 / (eta_scale * col_max[j]))
+    # Rows: QoS floor_i * (1 + rho_hat * gamma[i] . w) - rho_hat * w_i <= 0,
+    # per-AP load, w >= 0, and a cap on each w_j.
+    eye = np.eye(k)
+    lin = np.vstack([sinr_floor[:, None] * rho_hat * zf.gamma - rho_hat * eye, theta * eta_scale, -eye, eye])
+    bound = np.concatenate([-sinr_floor, np.ones(theta.shape[0]), np.zeros(k), 2.0 / (eta_scale * col_max)])
+    cs = ConstraintSet(np.zeros_like(lin), lin, bound)
 
     w, v_star, _ = maximize_min_slack(cs, np.ones(k))
     if v_star > -1e-9:

@@ -167,15 +167,13 @@ def sca_step(
     v_bar = surr.expansion / z_scale
     sinr_floor = qos.sinr_floor
 
-    constraints = ConstraintSet(k)
-    for i in range(k):
-        quad = sinr_floor[i] * rho_hat * zf.gamma[i]
-        lin = np.zeros(k)
-        lin[i] = -2.0 * rho_hat * v_bar[i]
-        constraints.add_quadratic(quad, lin, -sinr_floor[i] - rho_hat * v_bar[i] ** 2)
-    for row in theta * eta_scale:
-        constraints.add_quadratic(row, np.zeros(k), 1.0)
-    constraints.add_lower_bounds(SCA_FLOOR)
+    # Rows: linearized QoS, per-AP load, and the interior floor v >= SCA_FLOOR.
+    n_aps = theta.shape[0]
+    constraints = ConstraintSet(
+        np.vstack([sinr_floor[:, None] * rho_hat * zf.gamma, theta * eta_scale, np.zeros((k, k))]),
+        np.vstack([np.diag(-2.0 * rho_hat * v_bar), np.zeros((n_aps, k)), -np.eye(k)]),
+        np.concatenate([-sinr_floor - rho_hat * v_bar**2, np.ones(n_aps), np.full(k, -SCA_FLOOR)]),
+    )
 
     value_z, grad_z, hess_z = concave_model(surr, zf, params)
 

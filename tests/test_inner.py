@@ -14,13 +14,8 @@ from cellfree_ee.reports import STATUS_CONVERGED
 
 
 def box_constraints(n, lo=0.0, hi=1.0):
-    cs = ConstraintSet(n)
-    cs.add_lower_bounds(lo)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cs.add_linear(e, hi)
-    return cs
+    eye = np.eye(n)
+    return ConstraintSet(np.zeros((2 * n, n)), np.vstack([-eye, eye]), np.concatenate([np.full(n, -lo), np.full(n, hi)]))
 
 
 def quadratic_objective(center):
@@ -51,9 +46,7 @@ class TestSolveInner:
         assert report.stationarity <= 1e-6
 
     def test_active_constraint_multiplier(self):
-        cs = ConstraintSet(1)
-        cs.add_lower_bounds(-1.0)
-        cs.add_linear(np.array([1.0]), 0.3)
+        cs = ConstraintSet(np.zeros((2, 1)), np.array([[-1.0], [1.0]]), np.array([1.0, 0.3]))
         objective = (lambda x: float(x[0]), lambda x: np.ones(1), lambda x: np.zeros((1, 1)))
         x, report = solve_inner(objective, cs, np.array([0.0]))
         assert x[0] == pytest.approx(0.3, abs=2e-6)
@@ -75,9 +68,11 @@ class TestSolveInner:
         assert np.array_equal(a, b)
 
     def test_feasibility_of_returned_point(self):
-        cs = ConstraintSet(2)
-        cs.add_lower_bounds(0.0)
-        cs.add_quadratic(np.array([1.0, 2.0]), np.array([0.1, 0.0]), 1.0)
+        cs = ConstraintSet(
+            np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]),
+            np.array([[-1.0, 0.0], [0.0, -1.0], [0.1, 0.0]]),
+            np.array([0.0, 0.0, 1.0]),
+        )
         x, _ = solve_inner(quadratic_objective([2.0, 2.0]), cs, np.array([0.1, 0.1]))
         assert np.max(cs.residuals(x)) <= 1e-9
 
@@ -95,25 +90,23 @@ class TestSolveInner:
             solve_inner(convex, box_constraints(2), np.full(2, 0.5))
 
     def test_non_convex_row_rejected_at_build(self):
-        cs = ConstraintSet(2)
-        with pytest.raises(ValueError, match="non-convex"):
-            cs.add_quadratic(np.array([1.0, -0.5]), np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="row 1: negative quadratic coefficient makes the row non-convex"):
+            ConstraintSet(np.array([[1.0, 0.5], [1.0, -0.5]]), np.zeros((2, 2)), np.ones(2))
 
 
 class TestMaximizeMinSlack:
     def test_equalizes_slacks(self):
-        cs = ConstraintSet(2)
-        cs.add_lower_bounds(0.0)
-        cs.add_linear(np.array([1.0, 1.0]), 1.0)
-        cs.add_linear(np.array([-1.0, 0.0]), -0.2)
+        cs = ConstraintSet(
+            np.zeros((4, 2)),
+            np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]]),
+            np.array([0.0, 0.0, 1.0, -0.2]),
+        )
         x, v_star, report = maximize_min_slack(cs, np.array([0.9, 0.9]))
         assert v_star == pytest.approx(-0.8 / 3.0, abs=1e-5)
         assert np.max(cs.residuals(x)) <= v_star + 1e-5
 
     def test_detects_infeasibility(self):
-        cs = ConstraintSet(1)
-        cs.add_linear(np.array([1.0]), 0.2)
-        cs.add_linear(np.array([-1.0]), -0.5)  # x >= 0.5 and x <= 0.2
+        cs = ConstraintSet(np.zeros((2, 1)), np.array([[1.0], [-1.0]]), np.array([0.2, -0.5]))  # x <= 0.2 and x >= 0.5
         _, v_star, _ = maximize_min_slack(cs, np.array([0.3]))
         assert v_star > 0.1
 
