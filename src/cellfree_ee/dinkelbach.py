@@ -26,26 +26,22 @@ from .power import (
 from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER, SolveReport
 from .zfstats import ZfStatistics
 
-DEFAULT_GAP_TOL = 1e-6
+# Relative parametric gap at which the Dinkelbach iteration stops.
+GAP_TOL = 1e-6
+# KKT tolerance of the barrier fallback, in the scaled units.
+INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 
 
-def solve_pce(
-    zf: ZfStatistics,
-    params: PowerParams,
-    qos: QosSpec,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    inner_tol: float = 1e-6,
-    use_full_power: bool = False,
-):
+def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     """Energy-efficiency-optimal power control under perfect channel estimation.
 
     The interference coefficients are forced to zero (the estimation-error
     term disappears with perfect CSI); the per-AP budget keeps its usual
-    linear form. By default the Dinkelbach denominator is the reduced power
-    (no traffic-dependent backhaul term), whose maximizer coincides with the
-    full ratio's; set use_full_power=True to iterate on the full consumption
-    model instead. The reported energy efficiency always uses the full model.
+    linear form. The Dinkelbach denominator is the reduced power (no
+    traffic-dependent backhaul term): that term only adds a constant to the
+    reciprocal ratio, so the maximizer is the full ratio's. The reported
+    energy efficiency always uses the full model.
 
     Without interference each Dinkelbach subproblem is separable up to the
     per-AP rows, so its optimum over the QoS floors is a clipped water level.
@@ -84,7 +80,6 @@ def solve_pce(
     p_fixed = params.p_fixed
     # Affine denominator in the scaled variable: d_hat . v + p_fixed (watts).
     d_hat = params.rho_f * params.n0_watts * (params.alpha @ theta) * eta_scale
-    p_bt_sum = float(np.sum(params.p_btm))
     ln2 = np.log(2.0)
     constraints = None  # barrier rows, built on the first step that needs them
 
@@ -95,15 +90,15 @@ def solve_pce(
     def denominator(v):
         return float(d_hat @ v) + p_fixed
 
-    def subproblem(rate_coeff, lam_hat):
+    def subproblem(lam_hat):
         def value(x):
-            return rate_coeff * sum_rate(x) - lam_hat * denominator(x)
+            return sum_rate(x) - lam_hat * denominator(x)
 
         def gradient(x):
-            return rate_coeff * prelog * rho_hat / ((1.0 + rho_hat * x) * ln2) - lam_hat * d_hat
+            return prelog * rho_hat / ((1.0 + rho_hat * x) * ln2) - lam_hat * d_hat
 
         def hessian(x):
-            diag = -rate_coeff * prelog * rho_hat**2 / ((1.0 + rho_hat * x) ** 2 * ln2)
+            diag = -prelog * rho_hat**2 / ((1.0 + rho_hat * x) ** 2 * ln2)
             if not np.all(diag < 0.0):
                 raise NonConcaveObjectiveError("parametric objective lost concavity")
             return np.diag(diag)
@@ -112,8 +107,6 @@ def solve_pce(
 
     v = start
     lam = reduced_energy_efficiency(eta_scale * v, zf0, params)
-    if use_full_power:
-        lam = energy_efficiency(eta_scale * v, zf0, params)
     report.lambdas.append(lam)
     report.ee_trajectory.append(energy_efficiency(eta_scale * v, zf0, params))
     report.iterates.append(eta_scale * v)
@@ -121,13 +114,8 @@ def solve_pce(
     status = STATUS_MAX_ITER
     for _ in range(MAX_OUTER_ITERS):
         # Subproblem objective, scaled by 1/bandwidth to stay order one.
-        rate_coeff = 1.0 - lam * p_bt_sum if use_full_power else 1.0
         lam_hat = lam / bandwidth
-        if not rate_coeff > 0.0:
-            # The water level needs a concave rate term, as the barrier's Hessian check does.
-            raise NonConcaveObjectiveError("parametric objective lost concavity")
-
-        water = _water_level(rate_coeff * prelog, lam_hat * d_hat, rho_hat, lower)
+        water = _water_level(prelog, lam_hat * d_hat, rho_hat, lower)
         if np.max(theta_hat @ water) < 1.0:
             v = water
             step_solved = True
@@ -143,7 +131,7 @@ def solve_pce(
             warm = np.maximum(v, lower + 1e-12)
             if np.max(constraints.residuals(warm)) >= 0.0:
                 warm = start  # the lift crossed a per-AP row: floors within 1e-12 of full load
-            v, kkt = solve_inner(subproblem(rate_coeff, lam_hat), constraints, warm, tol=inner_tol)
+            v, kkt = solve_inner(subproblem(lam_hat), constraints, warm, tol=INNER_TOL)
             report.inner_reports.append(kkt)
             step_solved = kkt.status == STATUS_CONVERGED
         report.outer_iterations += 1
@@ -152,15 +140,13 @@ def solve_pce(
 
         numer = bandwidth * sum_rate(v)
         denom = denominator(v)
-        if use_full_power:
-            denom += p_bt_sum * numer
         gap = numer - lam * denom
         lam_prev = lam
         lam = numer / denom
         report.lambdas.append(lam)
         # Relative parametric gap: |N - lam D| <= tol * lam * D, i.e. the
         # ratio moved by less than tol relative.
-        if abs(gap) <= gap_tol * max(lam_prev, lam) * denom:
+        if abs(gap) <= GAP_TOL * max(lam_prev, lam) * denom:
             status = STATUS_CONVERGED if step_solved else STATUS_MAX_ITER
             break
 

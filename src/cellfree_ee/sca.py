@@ -42,7 +42,10 @@ from .zfstats import ZfStatistics
 # Interior floor on the square-root coefficients, relative to the equal-power
 # scale: the 1/z^2 model terms are rebuilt each iteration and blow up at zero.
 SCA_FLOOR = 1e-6
-DEFAULT_EE_TOL = 1e-6
+# Relative change of the true EE at which the iteration stops.
+EE_TOL = 1e-6
+# KKT tolerance of each model solve, in the scaled units.
+INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 _MINORANT_TOL = 1e-9
 _ASCENT_TOL = 1e-8
@@ -149,7 +152,6 @@ def sca_step(
     zf: ZfStatistics,
     params: PowerParams,
     qos: QosSpec,
-    inner_tol: float = 1e-6,
 ) -> tuple:
     """Maximize the concavified model over the convexified constraint set.
 
@@ -186,19 +188,13 @@ def sca_step(
         lambda v: z_scale**2 * hess_z(z_scale * v),
     )
 
-    v_new, report = solve_inner(objective, constraints, v_bar, tol=inner_tol)
+    v_new, report = solve_inner(objective, constraints, v_bar, tol=INNER_TOL)
     if value(v_new) <= value(v_bar) + 1e-12 * max(1.0, abs(value(v_bar))):
         return surr.expansion, report
     return z_scale * v_new, report
 
 
-def solve_ipce(
-    zf: ZfStatistics,
-    params: PowerParams,
-    qos: QosSpec,
-    ee_tol: float = DEFAULT_EE_TOL,
-    inner_tol: float = 1e-6,
-):
+def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     """Power control under imperfect CSI by successive concave models.
 
     Starts from the max-slack feasible point, iterates build_surrogate and
@@ -228,7 +224,7 @@ def solve_ipce(
     status = STATUS_MAX_ITER
     for _ in range(MAX_OUTER_ITERS):
         surr = build_surrogate(z, zf, params)
-        z_new, kkt = sca_step(surr, zf, params, qos, inner_tol=inner_tol)
+        z_new, kkt = sca_step(surr, zf, params, qos)
         report.inner_reports.append(kkt)
         report.outer_iterations += 1
 
@@ -244,7 +240,7 @@ def solve_ipce(
         if ee_new > best_ee:
             best_z, best_ee = z_new, ee_new
 
-        if z_new is surr.expansion or abs(ee_new - ee) <= ee_tol * max(abs(ee), 1e-30):
+        if z_new is surr.expansion or abs(ee_new - ee) <= EE_TOL * max(abs(ee), 1e-30):
             status = STATUS_CONVERGED
             z = z_new
             break

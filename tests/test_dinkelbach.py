@@ -94,20 +94,6 @@ def test_beats_equal_power_when_baseline_feasible(small_instance):
     assert energy_efficiency(alloc.eta, zf0, params) >= energy_efficiency(equal.eta, zf0, params)
 
 
-def test_full_power_variant_agrees_on_maximizer(small_instance):
-    # The traffic term only adds a constant to the reciprocal ratio, so
-    # iterating on the full consumption model must land on the same point.
-    _, _, zf, params = small_instance
-    qos = loose_qos(zf, params)
-    reduced, _ = solve_pce(zf, params, qos)
-    full, report = solve_pce(zf, params, qos, use_full_power=True)
-    assert report.status == STATUS_CONVERGED
-    zf0 = perfect_view(zf)
-    assert energy_efficiency(full.eta, zf0, params) == pytest.approx(
-        energy_efficiency(reduced.eta, zf0, params), rel=1e-6
-    )
-
-
 def test_uncertified_curvature_raises_typed_error(small_instance, monkeypatch):
     # The concavity guard is a raise, not an assert that `python -O` strips:
     # curvature that cannot be shown negative (NaN here) must stop the solve.
@@ -143,13 +129,6 @@ def test_slack_optimum_is_the_water_level():
     assert np.any(free)
     assert np.all(np.abs(grad[free]) <= 1e-9 * lam * cost[free])
     assert np.all(grad[~free] <= 1e-9 * lam * cost[~free])
-
-    # The full-consumption variant takes the closed form too and lands on the same point.
-    full, full_report = solve_pce(zf, params, qos, use_full_power=True)
-    assert full_report.status == STATUS_CONVERGED
-    assert not full_report.inner_reports
-    zf0 = perfect_view(zf)
-    assert energy_efficiency(full.eta, zf0, params) == pytest.approx(energy_efficiency(alloc.eta, zf0, params), rel=1e-9)
 
 
 @pytest.mark.parametrize("load", [1.0 - 1e-9, 1.0 + 1e-9])
