@@ -62,7 +62,6 @@ class ExperimentConfig:
     qos: str = QOS_EQUAL_POWER_RATE  # rule name, scalar, or comma list
     bandwidth_hz: float = 20e6
     noise_figure_db: float = 9.0
-    carrier_ghz: float = 1.9  # recorded; the fading law does not use it
     drain_efficiency: float = 0.388
     p_cir_w: float = 9.0
     p_cm_w: float = 0.2
@@ -139,7 +138,6 @@ class ExperimentConfig:
             "qos": str,
             "bandwidth_hz": float,
             "noise_figure_db": float,
-            "carrier_ghz": float,
             "drain_efficiency": float,
             "p_cir_w": float,
             "p_cm_w": float,
