@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .inner import ConstraintSet, NonConcaveObjectiveError, solve_inner
+from .inner import ConstraintSet, NonConcaveObjectiveError, _minimal_power_start, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -58,8 +58,6 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     report = SolveReport()
 
     theta = zf.theta
-    if np.any(theta.max(axis=0) <= 0.0):
-        raise ValueError("theta has an all-zero column; a user consumes no power at any AP")
     k = theta.shape[1]
     eta_scale = float(equal_power_allocation(theta).eta[0])
     theta_hat = theta * eta_scale
@@ -67,13 +65,11 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     # QoS floors are simple lower bounds once the interference term is gone,
     # so the problem is feasible iff the floors alone leave every AP slack.
     lower = np.maximum(qos.sinr_floor / rho_hat, 1e-12)
-    floor_load = float(np.max(theta_hat @ lower))
-    if not floor_load < 1.0:
+    start = _minimal_power_start(theta_hat, np.zeros((k, k)), lower)
+    if start is None:
         report.status = STATUS_INFEASIBLE
         report.wall_time_s = time.perf_counter() - t0
         return None, report
-    # theta_hat's largest row sum is 1, so half the spare load keeps every row slack.
-    start = lower + (1.0 - floor_load) / 2.0
 
     prelog = params.prelog
     bandwidth = params.bandwidth_hz

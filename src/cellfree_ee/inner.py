@@ -212,74 +212,47 @@ def _clip_zeros(x, constraints):
     return x
 
 
-def maximize_min_slack(constraints: ConstraintSet, x0: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """Phase-1 problem: minimize the worst constraint violation.
-
-    Lifts to (x, v) with every row relaxed to g_i(x) <= v and v capped just
-    above its start value, then maximizes -v. Returns (x, v_star, KktReport);
-    v_star < 0 means x is strictly feasible with margin |v_star| in every row.
-    """
-    rows, n = constraints.quad.shape
-    x0 = np.asarray(x0, dtype=float)
-    v0 = float(np.max(constraints.residuals(x0))) + 1.0
-
-    cap = np.zeros(n + 1)
-    cap[-1] = 1.0
-    lifted = ConstraintSet(
-        np.vstack([np.hstack([constraints.quad, np.zeros((rows, 1))]), np.zeros(n + 1)]),
-        np.vstack([np.hstack([constraints.lin, np.full((rows, 1), -1.0)]), cap]),
-        np.append(constraints.bound, v0 + 1.0),
-    )
-
-    def value(z):
-        return -z[-1]
-
-    grad_vec = np.zeros(n + 1)
-    grad_vec[-1] = -1.0
-    hess_mat = np.zeros((n + 1, n + 1))
-
-    z, report = solve_inner(
-        (value, lambda z: grad_vec, lambda z: hess_mat),
-        lifted,
-        np.append(x0, v0),
-        tol=tol,
-    )
-    return z[:n], float(z[-1]), report
-
-
 def feasible_point(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
-    """Strictly feasible power allocation for the QoS-constrained problem.
+    """Strictly feasible power allocation for the QoS-constrained problem, or None.
 
-    The QoS and per-AP rows are linear in the power coefficients, so this is
-    a linear feasibility problem solved with the phase-1 barrier; the point
-    maximizing the minimum slack is returned. Returns None when infeasible.
-    With all-zero floors the (slightly shrunk) equal-power baseline is
-    returned without a solve.
+    In the scaled units w = eta / eta_scale, with f the SINR floors and
+    rho_hat = rho_f * eta_scale, user k's QoS row rho_f eta_k >= f_k (1 +
+    rho_f gamma[k] . eta) reads ((I - diag(f) gamma) w)_k >= f_k / rho_hat, and
+    the per-AP rows read theta_hat @ w <= 1; see _minimal_power_start.
     """
     theta = zf.theta
-    k = theta.shape[1]
-    if np.all(qos.r_bar == 0.0):
-        return PowerAllocation(eta=equal_power_allocation(theta).eta * (1.0 - 1e-6))
-
     eta_scale = float(equal_power_allocation(theta).eta[0])
-    rho_hat = params.rho_f * eta_scale
     sinr_floor = qos.sinr_floor
+    w = _minimal_power_start(
+        theta * eta_scale, sinr_floor[:, None] * zf.gamma, sinr_floor / (params.rho_f * eta_scale)
+    )
+    return None if w is None else PowerAllocation(eta=eta_scale * w)
 
-    col_max = theta.max(axis=0)
-    if np.any(col_max <= 0.0):
+
+def _minimal_power_start(theta_hat, coupling, floor):
+    """Interior point of (I - coupling) w >= floor, theta_hat @ w <= 1, w >= 0.
+
+    coupling and theta_hat are elementwise nonnegative. With u the solution of
+    (I - coupling) u = 1, a positive u exists iff the spectral radius of
+    coupling is below one (Collatz-Wielandt: coupling u < u); then
+    (I - coupling)^-1 = sum_n coupling^n >= 0, so w_min = (I - coupling)^-1 floor
+    is below every feasible w componentwise, and an interior point exists iff
+    the load L = max(theta_hat @ w_min) is below one. theta_hat is scaled so
+    that its largest row sum is 1, hence theta_hat @ u <= max(u), and the
+    returned w_min + (1 - L) / (2 max(u)) u leaves every floor row slack by
+    the same margin and every per-AP load at most (1 + L) / 2. Returns None
+    when no interior point exists.
+    """
+    if np.any(theta_hat.max(axis=0) <= 0.0):
         raise ValueError("theta has an all-zero column; a user consumes no power at any AP")
-    # Interference-free screen: even alone, user k cannot beat rho_f / max_m theta_mk.
-    if np.any(sinr_floor >= params.rho_f / col_max):
+    k = floor.size
+    try:
+        w_min, u = np.linalg.solve(np.eye(k) - coupling, np.column_stack([floor, np.ones(k)])).T
+    except np.linalg.LinAlgError:  # coupling has eigenvalue 1: spectral radius at least one
         return None
-
-    # Rows: QoS floor_i * (1 + rho_hat * gamma[i] . w) - rho_hat * w_i <= 0,
-    # per-AP load, w >= 0, and a cap on each w_j.
-    eye = np.eye(k)
-    lin = np.vstack([sinr_floor[:, None] * rho_hat * zf.gamma - rho_hat * eye, theta * eta_scale, -eye, eye])
-    bound = np.concatenate([-sinr_floor, np.ones(theta.shape[0]), np.zeros(k), 2.0 / (eta_scale * col_max)])
-    cs = ConstraintSet(np.zeros_like(lin), lin, bound)
-
-    w, v_star, _ = maximize_min_slack(cs, np.ones(k))
-    if v_star > -1e-9:
+    if not np.all(u > 0.0):
         return None
-    return PowerAllocation(eta=eta_scale * w)
+    load = float(np.max(theta_hat @ w_min))
+    if not load < 1.0:
+        return None
+    return w_min + (1.0 - load) / (2.0 * float(np.max(u))) * u

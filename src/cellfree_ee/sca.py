@@ -197,11 +197,13 @@ def sca_step(
 def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     """Power control under imperfect CSI by successive concave models.
 
-    Starts from the max-slack feasible point, iterates build_surrogate and
-    sca_step until the true energy efficiency stabilizes, and returns the
-    best-EE iterate with the full trajectory. A step that decreases the true
-    EE (beyond relative 1e-8) is recorded and flags the report status; the
-    model's lower-bound property is monitored the same way.
+    Starts from the interior point of feasible_point, iterates build_surrogate
+    and sca_step until the true energy efficiency stabilizes, and returns the
+    best-EE iterate with the full trajectory. The status is `converged` only
+    when the EE change closed and the last model solve converged, `max-iter`
+    otherwise. A step that decreases the true EE (beyond relative 1e-8) is
+    recorded and flags the report status instead; the model's lower-bound
+    property is monitored the same way.
 
     Returns (PowerAllocation or None, SolveReport).
     """
@@ -241,7 +243,7 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
             best_z, best_ee = z_new, ee_new
 
         if z_new is surr.expansion or abs(ee_new - ee) <= EE_TOL * max(abs(ee), 1e-30):
-            status = STATUS_CONVERGED
+            status = STATUS_CONVERGED if kkt.status == STATUS_CONVERGED else STATUS_MAX_ITER
             z = z_new
             break
         z, ee = z_new, ee_new

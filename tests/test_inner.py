@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from conftest import build_instance
 
 from cellfree_ee.inner import (
     ConstraintSet,
     InfeasibleStartError,
     NonConcaveObjectiveError,
     feasible_point,
-    maximize_min_slack,
     solve_inner,
 )
-from cellfree_ee.power import QosSpec, ZfStatistics, check_feasibility, make_power_params
+from cellfree_ee.power import (
+    QosSpec,
+    ZfStatistics,
+    check_feasibility,
+    equal_power_allocation,
+    make_power_params,
+    per_user_rate,
+)
 from cellfree_ee.reports import STATUS_CONVERGED
+from cellfree_ee.sca import solve_ipce
 
 
 def box_constraints(n, lo=0.0, hi=1.0):
@@ -94,23 +106,6 @@ class TestSolveInner:
             ConstraintSet(np.array([[1.0, 0.5], [1.0, -0.5]]), np.zeros((2, 2)), np.ones(2))
 
 
-class TestMaximizeMinSlack:
-    def test_equalizes_slacks(self):
-        cs = ConstraintSet(
-            np.zeros((4, 2)),
-            np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]]),
-            np.array([0.0, 0.0, 1.0, -0.2]),
-        )
-        x, v_star, report = maximize_min_slack(cs, np.array([0.9, 0.9]))
-        assert v_star == pytest.approx(-0.8 / 3.0, abs=1e-5)
-        assert np.max(cs.residuals(x)) <= v_star + 1e-5
-
-    def test_detects_infeasibility(self):
-        cs = ConstraintSet(np.zeros((2, 1)), np.array([[1.0], [-1.0]]), np.array([0.2, -0.5]))  # x <= 0.2 and x >= 0.5
-        _, v_star, _ = maximize_min_slack(cs, np.array([0.3]))
-        assert v_star > 0.1
-
-
 def _zf_for_feasibility(theta_scale=1e9, gamma_level=0.1, m=4, k=1, seed=0):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.5, 2.0, size=(m, k)) * theta_scale
@@ -120,12 +115,13 @@ def _zf_for_feasibility(theta_scale=1e9, gamma_level=0.1, m=4, k=1, seed=0):
 
 class TestFeasiblePoint:
     def test_zero_floor_returns_equal_power(self):
-        params = make_power_params(m=4, tau_u=2)
-        zf = _zf_for_feasibility(k=1)
-        qos = QosSpec.from_floor(np.zeros(1), params)
+        # Zero floors give w_min = 0 and u = 1 whatever the coupling, so the
+        # start is the equal-power baseline at half load.
+        params = make_power_params(m=4, tau_u=3)
+        zf = _zf_for_feasibility(k=3, gamma_level=0.3)
+        qos = QosSpec.from_floor(np.zeros(3), params)
         alloc = feasible_point(zf, params, qos)
-        expected = (1.0 - 1e-6) / zf.theta.sum(axis=1).max()
-        assert alloc.eta[0] == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(alloc.eta, 0.5 * equal_power_allocation(zf.theta).eta, rtol=1e-12)
 
     def test_huge_floor_is_infeasible(self):
         params = make_power_params(m=4, tau_u=2)
@@ -165,3 +161,75 @@ class TestFeasiblePoint:
         assert report.feasible
         assert report.ap_margin.min() > 0.0
         assert report.qos_margin.min() > 0.0
+
+
+def _floors_at(zf, params, eta):
+    """QoS spec whose SINR floors are the SINRs at eta, so eta is w_min."""
+    return QosSpec.from_floor(per_user_rate(eta, zf.gamma, params), params)
+
+
+@pytest.mark.parametrize("c", [1.0 - 1e-9, 1.0 - 1e-7, 1.0 + 1e-9])
+def test_feasibility_boundary_is_exact_with_interference(c):
+    # Floors at the SINRs of c * equal power make that point the minimal one,
+    # with the busiest AP at load c: feasible strictly below one, not above.
+    _, _, zf, params = build_instance(12, 4, seed=4, n_mc=300)
+    assert np.all(zf.gamma > 0.0)
+    eta_eq = equal_power_allocation(zf.theta).eta
+    qos = _floors_at(zf, params, c * eta_eq)
+    alloc = feasible_point(zf, params, qos)
+    if c > 1.0:
+        assert alloc is None
+        return
+    report = check_feasibility(alloc.eta, zf, params, qos)
+    assert report.feasible
+    assert report.ap_margin.min() > 0.0
+    assert report.qos_margin.min() > 0.0
+    np.testing.assert_array_less(c * eta_eq * (1.0 - 1e-12), alloc.eta)
+
+
+def _max_min_slack(zf, params, qos):
+    """LP oracle: the largest s with every row of the scaled problem slack by s."""
+    theta = zf.theta
+    m, k = theta.shape
+    eta_scale = float(equal_power_allocation(theta).eta[0])
+    f = qos.sinr_floor
+    qos_rows = np.eye(k) - f[:, None] * zf.gamma
+    a_ub = np.vstack([-qos_rows, theta * eta_scale, -np.eye(k)])
+    b_ub = np.concatenate([-f / (params.rho_f * eta_scale), np.ones(m), np.zeros(k)])
+    a_ub = np.hstack([a_ub, np.ones((a_ub.shape[0], 1))])
+    cost = np.zeros(k + 1)
+    cost[-1] = -1.0
+    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    scale=st.floats(0.0, 2.5),
+)
+def test_closed_form_agrees_with_max_min_slack_lp(k, extra_aps, seed, p_tx_watts, scale):
+    _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    weights = np.random.default_rng(seed).uniform(0.0, 1.0, size=k)
+    qos = _floors_at(zf, params, scale * weights * equal_power_allocation(zf.theta).eta)
+    slack = _max_min_slack(zf, params, qos)
+    assume(abs(slack) > 1e-9)
+    alloc = feasible_point(zf, params, qos)
+    assert (alloc is not None) == (slack > 0.0)
+    if alloc is None:
+        return
+    report = check_feasibility(alloc.eta, zf, params, qos)
+    assert report.feasible
+    assert report.ap_margin.min() > 0.0
+    assert report.qos_margin.min() > 0.0
+
+    # Every feasible point, the IPCE optimum included, dominates w_min.
+    eta_scale = float(equal_power_allocation(zf.theta).eta[0])
+    f = qos.sinr_floor
+    w_min = np.linalg.solve(np.eye(k) - f[:, None] * zf.gamma, f / (params.rho_f * eta_scale))
+    best, _ = solve_ipce(zf, params, qos)
+    assert np.all(best.eta >= eta_scale * w_min * (1.0 - 1e-9))

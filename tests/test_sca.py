@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
 
+from cellfree_ee import sca
 from cellfree_ee.dinkelbach import solve_pce
+from cellfree_ee.inner import solve_inner
 from cellfree_ee.power import (
     QosSpec,
     ZfStatistics,
@@ -13,7 +17,7 @@ from cellfree_ee.power import (
     make_power_params,
     reduced_power,
 )
-from cellfree_ee.reports import STATUS_CONVERGED, STATUS_INFEASIBLE
+from cellfree_ee.reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER
 from cellfree_ee.sca import (
     build_surrogate,
     concave_model,
@@ -197,3 +201,28 @@ class TestSolveIpce:
         equal = equal_power_allocation(zf.theta)
         alloc, _ = solve_ipce(zf, params, qos)
         assert energy_efficiency(alloc.eta, zf, params) >= energy_efficiency(equal.eta, zf, params) - 1e-6
+
+    @pytest.mark.parametrize("stalled_call", ["earlier", "last"])
+    def test_converged_needs_the_last_model_solve_converged(self, small_instance, monkeypatch, stalled_call):
+        # Mark one model solve as stopped at its iteration cap, leaving the
+        # iterates untouched: only a stalled last solve may demote the status.
+        _, _, zf, params = small_instance
+        qos = loose_qos(zf, params)
+        _, report = solve_ipce(zf, params, qos)
+        assert report.status == STATUS_CONVERGED
+        n_calls = len(report.inner_reports)
+        assert n_calls >= 2
+        stalled = n_calls if stalled_call == "last" else n_calls - 1
+        calls = []
+
+        def inner(*args, **kwargs):
+            x, kkt = solve_inner(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == stalled:
+                kkt = dataclasses.replace(kkt, status=STATUS_MAX_ITER)
+            return x, kkt
+
+        monkeypatch.setattr(sca, "solve_inner", inner)
+        _, flagged = solve_ipce(zf, params, qos)
+        assert flagged.ee_trajectory == report.ee_trajectory
+        assert flagged.status == (STATUS_MAX_ITER if stalled_call == "last" else STATUS_CONVERGED)
