@@ -28,7 +28,7 @@ from .zfstats import ZfStatistics
 
 # Relative parametric gap at which the Dinkelbach iteration stops.
 GAP_TOL = 1e-6
-# KKT tolerance of the barrier fallback, in the scaled units.
+# KKT tolerance of the interior-point fallback, in the scaled units.
 INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 
@@ -47,7 +47,7 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     per-AP rows, so its optimum over the QoS floors is a clipped water level.
     When that point leaves every per-AP row slack it is the exact subproblem
     optimum (every per-AP multiplier is zero); otherwise the step falls back
-    to the log-barrier solver. The status is `converged` only when the
+    to the interior-point solver. The status is `converged` only when the
     parametric gap closed and the last step's subproblem was solved to
     tolerance.
 
@@ -77,7 +77,7 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     # Affine denominator in the scaled variable: d_hat . v + p_fixed (watts).
     d_hat = params.rho_f * params.n0_watts * (params.alpha @ theta) * eta_scale
     ln2 = np.log(2.0)
-    constraints = None  # barrier rows, built on the first step that needs them
+    constraints = None  # fallback rows, built on the first step that needs them
 
     def sum_rate(v):
         """Sum spectral efficiency at v, bits/s/Hz."""

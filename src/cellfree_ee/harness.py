@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dinkelbach import solve_pce
+from .inner import InfeasibleStartError, NonConcaveObjectiveError
 from .power import (
     QosSpec,
     energy_efficiency,
@@ -29,7 +30,7 @@ from .power import (
     per_user_rate,
 )
 from .propagation import generate_topology, large_scale_fading, mmse_stats
-from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE
+from .reports import STATUS_CONVERGED, STATUS_ERROR, STATUS_INFEASIBLE
 from .sca import solve_ipce
 from .zfstats import ZfStatistics, estimate_zf_statistics
 
@@ -241,7 +242,9 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float) -> l
     """One instance evaluated at one per-AP power under every requested scheme.
 
     Fully deterministic given (config, instance, rho_f_w). Infeasible or
-    failed solves are reported as rows with their status rather than dropped.
+    failed solves are reported as rows with their status rather than dropped;
+    a solve that raises NonConcaveObjectiveError or InfeasibleStartError gives
+    a NaN row with status `error:<exception name>`.
     """
     zf = instance.zf
     m = zf.n_aps
@@ -278,14 +281,15 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float) -> l
             ee = energy_efficiency(equal.eta, zf, params)
             sum_se = float(equal_rates.sum())
             iters, status = 0, STATUS_CONVERGED
-        elif scheme == "pce":
-            alloc, report = solve_pce(zf, params, qos)
-            iters, status = report.outer_iterations, report.status
-            ee, sum_se = _scheme_metrics(alloc, zf_perfect, params)
-        elif scheme == "ipce":
-            alloc, report = solve_ipce(zf, params, qos)
-            iters, status = report.outer_iterations, report.status
-            ee, sum_se = _scheme_metrics(alloc, zf, params)
+        elif scheme in ("pce", "ipce"):
+            solve, view = (solve_pce, zf_perfect) if scheme == "pce" else (solve_ipce, zf)
+            try:
+                alloc, report = solve(zf, params, qos)
+                iters, status = report.outer_iterations, report.status
+            except (NonConcaveObjectiveError, InfeasibleStartError) as exc:
+                # One failed solve becomes a NaN row; the sweep goes on.
+                alloc, iters, status = None, 0, f"{STATUS_ERROR}:{type(exc).__name__}"
+            ee, sum_se = _scheme_metrics(alloc, view, params)
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
         wall_ms = (time.perf_counter() - t0) * 1e3

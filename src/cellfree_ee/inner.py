@@ -1,10 +1,13 @@
 """Small dense concave maximization under linear and convex quadratic rows.
 
-A logarithmic-barrier interior method with damped Newton steps: maximize
-t*f(x) + sum_i log(-g_i(x)) for an increasing barrier parameter t, where every
-constraint row is g_i(x) = q_i . x^2 + a_i . x - b_i <= 0 with q_i >= 0
-elementwise. Problem sizes here are tiny (tens of variables), so Hessians are
-formed densely and factored directly.
+A feasible primal-dual interior method: every constraint row is
+g_i(x) = q_i . x^2 + a_i . x - b_i <= 0 with q_i >= 0 elementwise, the iterate
+x stays strictly inside (slacks s = -g(x) > 0) next to dual estimates
+lambda > 0, and Newton steps on the perturbed KKT system
+grad f = J^T lambda, lambda_i s_i = mu are damped by a fraction-to-boundary
+rule and an Armijo search on f + mu sum log s, while mu falls linearly.
+Problem sizes here are tiny (tens of variables), so Hessians are formed
+densely and factored directly.
 
 Callers are expected to scale variables and objective to order one; the
 tolerances below are absolute in that scaling.
@@ -21,13 +24,14 @@ from .zfstats import ZfStatistics
 DEFAULT_TOL = 1e-6
 # Entries of the solution this close to zero are reported as exact zeros.
 ZERO_CLIP = 1e-8
-# Barrier parameter growth per stage.
-BARRIER_GROWTH = 10.0
-_STAGE_DECREMENT = 1e-4  # Newton decrement^2 / 2 target for interior stages
-_MAX_STAGE_ITERS = 200
-_MAX_TOTAL_ITERS = 5000
-_ARMIJO_SLOPE = 0.25
+# Newton steps per solve before it reports max-iter.
+_MAX_ITERS = 200
+# mu falls by this factor once the current mu-problem is solved to 10 mu.
+_MU_DECREASE = 0.2
+_MU_TARGET = 10.0
+_ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
+_MAX_BACKTRACKS = 60
 
 
 class InfeasibleStartError(ValueError):
@@ -77,97 +81,113 @@ def solve_inner(
     start : strictly feasible point (every row slack positive)
     tol : absolute KKT tolerance on stationarity and the duality-gap proxy
 
+    Duals start at lambda = 1/s with mu = 1. Each Newton step solves
+    (-hess f + diag(2 quad^T lambda) + J^T diag(lambda/s) J) dx
+    = grad f - mu J^T (1/s), then ds = -J dx and
+    dlambda = mu/s - lambda - lambda ds/s. mu shrinks by _MU_DECREASE whenever
+    max(stationarity, max |lambda s - mu|) <= _MU_TARGET mu, down to
+    tol / (10 rows). The solve stops when stationarity <= tol and
+    sum(lambda s) <= tol, or after _MAX_ITERS steps. The returned point never
+    has a lower objective than the start.
+
     Returns (x, KktReport). Raises InfeasibleStartError for a bad start and
     NonConcaveObjectiveError if the objective shows positive curvature along
     a step.
     """
     value, gradient, hessian = objective
-    x = np.asarray(start, dtype=float).copy()
+    start = np.asarray(start, dtype=float)
+    x = start.copy()
     m = len(constraints)
     if m == 0:
-        raise ValueError("constraint set is empty; the barrier needs at least one row")
-    if np.min(-constraints.residuals(x)) <= 0.0:
-        worst = float(np.max(constraints.residuals(x)))
-        raise InfeasibleStartError(f"start violates a constraint by {worst:.3e}")
+        raise ValueError("constraint set is empty; the interior method needs at least one row")
+    s = -constraints.residuals(x)
+    if np.min(s) <= 0.0:
+        raise InfeasibleStartError(f"start violates a constraint by {float(np.max(-s)):.3e}")
 
-    t = 1.0
-    t_final = m / tol
-    total_iters = 0
-    f_start = value(x)
-
+    quad = constraints.quad
+    lam = 1.0 / s
+    mu = 1.0
+    mu_min = tol / (10.0 * m)
+    f_start = f_x = value(x)
+    iterations = 0
     while True:
-        final_stage = t >= t_final
-        x, iters = _newton_stage(
-            value, gradient, hessian, constraints, x, t,
-            tol if final_stage else None,
-        )
-        total_iters += iters
-        if final_stage or total_iters > _MAX_TOTAL_ITERS:
-            break
-        t = min(t * BARRIER_GROWTH, t_final)
-
-    report = _kkt_report(value, gradient, constraints, x, t, tol, total_iters)
-    if report.status == STATUS_CONVERGED and value(x) < f_start - tol * max(1.0, abs(f_start)):
-        # A converged barrier path cannot end materially below a feasible start.
-        raise NonConcaveObjectiveError("objective decreased along the barrier path; check concavity")
-    return _clip_zeros(x, constraints), report
-
-
-def _newton_stage(value, gradient, hessian, constraints, x, t, stationarity_tol):
-    """Damped Newton on the barrier objective at fixed t.
-
-    Interior stages stop in the quadratic-convergence zone; the final stage
-    (stationarity_tol set) iterates until the measured KKT stationarity of the
-    original problem is within tolerance.
-    """
-    for it in range(_MAX_STAGE_ITERS):
-        s = -constraints.residuals(x)
-        inv_s = 1.0 / s
         rows = constraints.row_grads(x)
-        grad_phi = t * gradient(x) - rows.T @ inv_s
-        if stationarity_tol is not None and np.max(np.abs(grad_phi)) / t <= stationarity_tol:
-            return x, it
-        hess_obj = hessian(x)
-        hess_phi = t * hess_obj
-        hess_phi = hess_phi - np.diag(2.0 * (constraints.quad.T @ inv_s))
-        hess_phi -= (rows * (inv_s**2)[:, None]).T @ rows
+        grad_f = gradient(x)
+        stationarity = float(np.max(np.abs(grad_f - rows.T @ lam)))
+        comp = lam * s
+        converged = stationarity <= tol and float(np.sum(comp)) <= tol * (1 + 1e-12)
+        if converged or iterations == _MAX_ITERS:
+            break
+        while mu > mu_min and max(stationarity, float(np.max(np.abs(comp - mu)))) <= _MU_TARGET * mu:
+            mu = max(mu_min, _MU_DECREASE * mu)
 
+        hess_obj = hessian(x)
+        hess_phi = hess_obj - np.diag(2.0 * (quad.T @ lam)) - (rows * (lam / s)[:, None]).T @ rows
+        grad_phi = grad_f - mu * (rows.T @ (1.0 / s))
         step = _solve_newton(hess_phi, grad_phi)
         curv = float(step @ hess_obj @ step)
-        if curv > 1e-8 * float(step @ step) * max(1.0, abs(value(x))):
+        if curv > 1e-8 * float(step @ step) * max(1.0, abs(f_x)):
             raise NonConcaveObjectiveError(
                 f"objective curvature {curv:.3e} > 0 along the Newton step"
             )
-        decrement = float(grad_phi @ step)
-        if stationarity_tol is None and decrement / 2.0 <= _STAGE_DECREMENT:
-            return x, it
-        if decrement <= 0.0 or not np.isfinite(decrement):
-            return x, it
+        slope = float(grad_phi @ step)
+        if slope <= 0.0 or not np.isfinite(slope):
+            break
 
-        x_new = _line_search(value, constraints, x, step, t, decrement)
-        if x_new is None:
-            return x, it + 1
-        x = x_new
-    return x, _MAX_STAGE_ITERS
+        lin_step = rows @ step  # -ds
+        d_lam = mu / s - lam + lam * lin_step / s
+        # Fraction to the boundary: s and lambda keep at least 1 - tau of their value.
+        tau = max(0.99, 1.0 - mu)
+        alpha = _primal_step_limit(s, lin_step, quad @ (step * step), tau)
+        shrinking = d_lam < 0.0
+        alpha_dual = min(1.0, float(np.min(-tau * lam[shrinking] / d_lam[shrinking], initial=np.inf)))
+
+        phi = f_x + mu * float(np.sum(np.log(s)))
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + alpha * step
+            s_new = -constraints.residuals(x_new)
+            if np.min(s_new) > 0.0:
+                f_new = value(x_new)
+                if f_new + mu * float(np.sum(np.log(s_new))) >= phi + _ARMIJO_SLOPE * alpha * slope:
+                    break
+            alpha *= _BACKTRACK
+        else:
+            break
+        x, s, f_x = x_new, s_new, f_new
+        lam = lam + alpha_dual * d_lam
+        iterations += 1
+
+    if converged and f_x < f_start - tol * max(1.0, abs(f_start)):
+        # A converged interior path cannot end materially below a feasible start.
+        raise NonConcaveObjectiveError("objective decreased along the interior path; check concavity")
+    # The KKT fields describe the last iterate; the objective, the returned point.
+    report = KktReport(
+        objective=float(max(f_x, f_start)),
+        stationarity=stationarity,
+        max_violation=float(max(np.max(-s), 0.0)),
+        comp_slackness=float(np.sum(comp)),
+        iterations=iterations,
+        status=STATUS_CONVERGED if converged else STATUS_MAX_ITER,
+        multipliers=lam,
+    )
+    if f_x < f_start:
+        return start.copy(), report
+    return _clip_zeros(x, constraints), report
 
 
-def _barrier_value(value, constraints, x, t):
-    s = -constraints.residuals(x)
-    if np.min(s) <= 0.0:
-        return -np.inf
-    return t * value(x) + float(np.sum(np.log(s)))
+def _primal_step_limit(s, lin_step, quad_step, tau):
+    """Largest alpha <= 1 with -g(x + alpha dx) >= (1 - tau) s on every row.
 
-
-def _line_search(value, constraints, x, step, t, decrement):
-    phi0 = _barrier_value(value, constraints, x, t)
-    alpha = 1.0
-    for _ in range(60):
-        x_new = x + alpha * step
-        phi = _barrier_value(value, constraints, x_new, t)
-        if np.isfinite(phi) and phi >= phi0 + _ARMIJO_SLOPE * alpha * decrement:
-            return x_new
-        alpha *= _BACKTRACK
-    return None
+    Along the step a row's slack is s - alpha lin_step - alpha^2 quad_step with
+    quad_step >= 0, so tau s - lin_step alpha - quad_step alpha^2 is concave in
+    alpha and positive at 0; its positive root, in the cancellation-free form
+    2 tau s / (lin_step + sqrt(lin_step^2 + 4 quad_step tau s)), bounds the
+    step. Rows with no root (lin_step <= 0 and quad_step = 0) never do.
+    """
+    reserve = tau * s
+    denom = lin_step + np.sqrt(lin_step * lin_step + 4.0 * quad_step * reserve)
+    limiting = denom > 0.0
+    return min(1.0, float(np.min(2.0 * reserve[limiting] / denom[limiting], initial=np.inf)))
 
 
 def _solve_newton(hess_phi, grad_phi):
@@ -182,24 +202,7 @@ def _solve_newton(hess_phi, grad_phi):
             return np.linalg.solve(chol.T, y)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-14 * scale)
-    raise NonConcaveObjectiveError("barrier Hessian could not be factored; constraint rows may be degenerate")
-
-
-def _kkt_report(value, gradient, constraints, x, t, tol, iterations):
-    s = -constraints.residuals(x)
-    mu = 1.0 / (t * s)
-    stationarity = float(np.max(np.abs(gradient(x) - constraints.row_grads(x).T @ mu)))
-    comp = float(np.sum(mu * s))
-    status = STATUS_CONVERGED if (stationarity <= tol and comp <= tol * (1 + 1e-12)) else STATUS_MAX_ITER
-    return KktReport(
-        objective=float(value(x)),
-        stationarity=stationarity,
-        max_violation=float(max(np.max(constraints.residuals(x)), 0.0)),
-        comp_slackness=comp,
-        iterations=iterations,
-        status=status,
-        multipliers=mu,
-    )
+    raise NonConcaveObjectiveError("Newton matrix could not be factored; constraint rows may be degenerate")
 
 
 def _clip_zeros(x, constraints):

@@ -9,6 +9,7 @@ efficiency in bits/Joule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,9 @@ class PowerParams:
         """Fraction of the coherence interval carrying payload, 1 - tau_u/tau."""
         return 1.0 - self.tau_u / self.tau
 
-    @property
+    @cached_property
     def p_fixed(self) -> float:
-        """Total consumption independent of the power coefficients, W."""
+        """Total consumption independent of the power coefficients, W (summed once)."""
         return float(self.p_cir + np.sum(self.p_cm) + np.sum(self.p_0m))
 
     @property

@@ -10,6 +10,8 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max-iter"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ASCENT_FLAG = "ascent-flag"
+# Prefix of a run row whose solve raised; the exception name follows the colon.
+STATUS_ERROR = "error"
 
 
 @dataclass(frozen=True)

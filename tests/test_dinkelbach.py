@@ -50,7 +50,7 @@ def test_two_user_grid_oracle(seed):
     zf0 = perfect_view(zf)
     alloc, report = solve_pce(zf, params, qos)
     assert report.status == STATUS_CONVERGED
-    # At M=8 the EE-optimal powers overload an AP, so the barrier fallback ran.
+    # At M=8 the EE-optimal powers overload an AP, so the interior-point fallback ran.
     assert report.inner_reports
     assert np.max(zf.theta @ alloc.eta) > 1.0 - 1e-6
     assert check_feasibility(alloc.eta, zf0, params, qos).feasible
@@ -150,6 +150,20 @@ def test_feasibility_boundary_is_exact(load):
         assert report.status == STATUS_INFEASIBLE
 
 
+@pytest.mark.parametrize("load", [0.99, 0.999, 0.99999])
+def test_fallback_converges_with_floors_near_full_load(load):
+    # Floors that put the busiest AP at `load` leave the per-AP rows binding
+    # next to floor rows with tiny slack: every fallback solve must converge.
+    _, _, zf, params = build_instance(12, 4, seed=4, n_mc=300)
+    eta_eq = equal_power_allocation(zf.theta).eta
+    qos = QosSpec.from_floor(params.prelog * np.log2(1.0 + load * params.rho_f * eta_eq), params)
+    alloc, report = solve_pce(zf, params, qos)
+    assert report.status == STATUS_CONVERGED
+    assert report.inner_reports
+    assert all(kkt.status == STATUS_CONVERGED for kkt in report.inner_reports)
+    assert check_feasibility(alloc.eta, perfect_view(zf), params, qos).feasible
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     k=st.integers(1, 4),
@@ -162,7 +176,7 @@ def test_closed_form_never_below_barrier_only(k, extra_aps, seed, p_tx_watts, fr
     _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
     qos = loose_qos(zf, params, fraction)
     alloc, _ = solve_pce(zf, params, qos)
-    # An overloaded water level on every step sends each one to the barrier.
+    # An overloaded water level on every step sends each one to the interior-point solver.
     with mock.patch.object(dinkelbach, "_water_level", lambda weight, cost, rho_hat, lower: lower + np.inf):
         barrier, _ = solve_pce(zf, params, qos)
     zf0 = perfect_view(zf)

@@ -15,6 +15,7 @@ from cellfree_ee.harness import (
     sweep_m,
     sweep_rho_f,
 )
+from cellfree_ee.inner import InfeasibleStartError
 
 
 def tiny_config(**overrides):
@@ -171,6 +172,22 @@ class TestSweeps:
         fields = pce_line.split(",")
         assert fields[5] == "1" and fields[6] == "0" and fields[7] == "1"
         assert fields[8] == "nan"
+
+    def test_raising_solve_becomes_an_error_row(self, monkeypatch):
+        config = tiny_config()
+        clean = sweep_m(config)
+
+        def broken(zf, params, qos):
+            raise InfeasibleStartError("start violates a constraint by 1.000e-16")
+
+        monkeypatch.setattr(harness, "solve_ipce", broken)
+        rows = sweep_m(tiny_config())
+        assert [r for r in rows if r.scheme != "ipce"] == [r for r in clean if r.scheme != "ipce"]
+        failed = [r for r in rows if r.scheme == "ipce"]
+        assert len(failed) == config.n_topologies
+        assert all(r.status == "error:InfeasibleStartError" and np.isnan(r.ee_bits_per_joule) for r in failed)
+        ipce_line = next(l for l in aggregate_rows(rows).splitlines() if l.startswith("ipce,"))
+        assert ipce_line.split(",")[5:8] == ["2", "0", "2"]
 
 
 class TestCli:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from conftest import build_instance
 
@@ -104,6 +104,54 @@ class TestSolveInner:
     def test_non_convex_row_rejected_at_build(self):
         with pytest.raises(ValueError, match="row 1: negative quadratic coefficient makes the row non-convex"):
             ConstraintSet(np.array([[1.0, 0.5], [1.0, -0.5]]), np.zeros((2, 2)), np.ones(2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    n_quad=st.integers(0, 3),
+    n_lin=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_inner_matches_slsqp(n, n_quad, n_lin, seed):
+    # Separable concave objective sum w log(1 + c x) - d x - e x^2 over random
+    # nonnegative-quad rows, linear rows and a box, all slack at the start.
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(0.2, 1.0, n)
+    w, c, e = rng.uniform(0.1, 2.0, n), rng.uniform(0.5, 5.0, n), rng.uniform(0.0, 1.0, n)
+    d = rng.uniform(-1.0, 2.0, n)
+    quad = np.vstack([rng.uniform(0.0, 1.0, (n_quad, n)), np.zeros((n_lin + 2 * n, n))])
+    lin = np.vstack([rng.uniform(-1.0, 1.0, (n_quad + n_lin, n)), -np.eye(n), np.eye(n)])
+    lower, upper = start * rng.uniform(0.1, 0.9, n), start + rng.uniform(0.1, 2.0, n)
+    general = quad[: n_quad + n_lin] @ start**2 + lin[: n_quad + n_lin] @ start
+    bound = np.concatenate([general + rng.uniform(0.05, 1.0, n_quad + n_lin), -lower, upper])
+    cs = ConstraintSet(quad, lin, bound)
+    objective = (
+        lambda x: float(np.sum(w * np.log1p(c * x) - d * x - e * x * x)),
+        lambda x: w * c / (1.0 + c * x) - d - 2.0 * e * x,
+        lambda x: np.diag(-w * c * c / (1.0 + c * x) ** 2 - 2.0 * e),
+    )
+
+    x, report = solve_inner(objective, cs, start)
+    assert np.max(cs.residuals(x)) < 0.0
+    assert report.status == STATUS_CONVERGED
+    assert report.stationarity <= 1e-6 and report.comp_slackness <= 1e-6
+    assert np.all(report.multipliers > 0.0)
+    assert objective[0](x) >= objective[0](start)
+
+    oracle = minimize(
+        lambda y: -objective[0](y),
+        start,
+        jac=lambda y: -objective[1](y),
+        method="SLSQP",
+        constraints={"type": "ineq", "fun": lambda y: -cs.residuals(y), "jac": lambda y: -cs.row_grads(y)},
+        options={"ftol": 1e-10, "maxiter": 500},
+    )
+    # SLSQP may stop with "positive directional derivative" next to the
+    # optimum, so its answer is checked for feasibility rather than success.
+    assert np.max(cs.residuals(oracle.x)) <= 1e-6
+    best = -oracle.fun
+    assert abs(objective[0](x) - best) <= 1e-6 * max(1.0, abs(best))
 
 
 def _zf_for_feasibility(theta_scale=1e9, gamma_level=0.1, m=4, k=1, seed=0):

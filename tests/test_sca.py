@@ -7,6 +7,7 @@ from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
 
 from cellfree_ee import sca
 from cellfree_ee.dinkelbach import solve_pce
+from cellfree_ee.harness import ExperimentConfig, build_instance as build_harness_instance, run_seed
 from cellfree_ee.inner import solve_inner
 from cellfree_ee.power import (
     QosSpec,
@@ -15,6 +16,7 @@ from cellfree_ee.power import (
     energy_efficiency,
     equal_power_allocation,
     make_power_params,
+    per_user_rate,
     reduced_power,
 )
 from cellfree_ee.reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER
@@ -226,3 +228,18 @@ class TestSolveIpce:
         _, flagged = solve_ipce(zf, params, qos)
         assert flagged.ee_trajectory == report.ee_trajectory
         assert flagged.status == (STATUS_MAX_ITER if stalled_call == "last" else STATUS_CONVERGED)
+
+
+def test_model_solves_converge_at_the_sca_fixed_point():
+    # The solver_k2 benchmark op (K=2, n_mc=1500, equal-power-rate floors) at
+    # master seed 300004, M=12: the model solves end next to the fixed point,
+    # where a pure primal barrier stalled at stationarity 2e-6-1e-5.
+    config = ExperimentConfig(m_list=[8, 12, 16], k=2, rho_f_w_list=[0.2], n_mc=1500, n_topologies=1,
+                              master_seed=300004)
+    zf = build_harness_instance(config, 12, run_seed(config, 0)).zf
+    params = make_power_params(m=12, tau_u=2, p_tx_watts=0.2)
+    equal = equal_power_allocation(zf.theta)
+    floor = float(np.min(per_user_rate(equal.eta, zf.gamma, params)))
+    _, report = solve_ipce(zf, params, QosSpec.from_floor(np.full(2, floor), params))
+    assert report.status == STATUS_CONVERGED
+    assert all(kkt.status == STATUS_CONVERGED for kkt in report.inner_reports)
