@@ -26,7 +26,8 @@ DEFAULT_TOL = 1e-6
 ZERO_CLIP = 1e-8
 # Newton steps per solve before it reports max-iter.
 _MAX_ITERS = 200
-# mu falls by this factor once the current mu-problem is solved to 10 mu.
+# mu falls by _MU_DECREASE once the KKT error of the current mu-problem,
+# max(stationarity, max |lambda s - mu|), is within _MU_TARGET * mu.
 _MU_DECREASE = 0.2
 _MU_TARGET = 10.0
 _ARMIJO_SLOPE = 1e-4
