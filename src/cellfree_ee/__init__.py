@@ -32,7 +32,16 @@ from .power import (
 from .inner import ConstraintSet, feasible_point, solve_inner
 from .dinkelbach import solve_pce
 from .sca import Surrogate, build_surrogate, sca_step, solve_ipce
-from .harness import ExperimentConfig, Instance, ResultRow, build_instance, run_point, sweep_m, sweep_rho_f
+from .harness import (
+    ExperimentConfig,
+    Instance,
+    ResultRow,
+    build_instance,
+    run_point,
+    run_topology,
+    sweep_m,
+    sweep_rho_f,
+)
 from .reports import KktReport, SolveReport
 
 __all__ = [
@@ -66,6 +75,7 @@ __all__ = [
     "per_user_rate",
     "reduced_energy_efficiency",
     "run_point",
+    "run_topology",
     "sca_step",
     "solve_inner",
     "solve_ipce",

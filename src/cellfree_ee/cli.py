@@ -10,10 +10,8 @@ import numpy as np
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    build_instance,
     rows_to_csv,
-    run_point,
-    run_seed,
+    run_topology,
     sweep_m,
     sweep_rho_f,
     write_outputs,
@@ -69,8 +67,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-rhof":
             rows = sweep_rho_f(config)
         else:
-            instance = build_instance(config, config.m_list[0], run_seed(config, 0))
-            rows = run_point(config, instance, config.rho_f_w_list[0])
+            rows = run_topology(config, config.m_list[0], 0, config.rho_f_w_list[:1])
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

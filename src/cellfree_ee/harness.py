@@ -6,7 +6,8 @@ per-AP transmit power. A run point evaluates three power-control schemes on
 an instance at one transmit power: the equal-power baseline, the perfect-CSI
 optimizer, and the imperfect-CSI optimizer. Sweeps build each instance once,
 aggregate run points over AP counts or per-AP transmit powers, and write
-schema-stable CSV files.
+schema-stable CSV files. Along the transmit powers of one instance, each
+imperfect-CSI solve starts next to the optimum at the previous, smaller power.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .power import (
 from .propagation import generate_topology, large_scale_fading, mmse_stats
 from .reports import STATUS_CONVERGED, STATUS_ERROR, STATUS_INFEASIBLE
 from .sca import solve_ipce
-from .zfstats import ZfStatistics, estimate_zf_statistics
+from .zfstats import SingularChannelError, ZfStatistics, estimate_zf_statistics
 
 CSV_HEADER = "scheme,M,K,rho_f_w,qos_rule,seed,ee_bits_per_joule,sum_se,iters,status,wall_ms"
 AGGREGATE_HEADER = (
@@ -205,6 +206,9 @@ class ResultRow:
     iters: int
     status: str
     wall_ms: float
+    # Power coefficients behind the row, None when the solve gave none; not
+    # written to the CSV and not compared.
+    eta: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def run_seed(config: ExperimentConfig, topology_index: int) -> int:
@@ -238,13 +242,20 @@ def build_instance(config: ExperimentConfig, m: int, seed: int) -> Instance:
     return Instance(seed=seed, zf=zf)
 
 
-def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float) -> list:
+def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm=None) -> list:
     """One instance evaluated at one per-AP power under every requested scheme.
 
-    Fully deterministic given (config, instance, rho_f_w). Infeasible or
+    warm, optional, is (rho_f_w_prev, eta_prev): a smaller per-AP power and
+    the imperfect-CSI optimum found at it on the same instance. The IPCE solve
+    then starts from eta_prev scaled by rho_f_w_prev / rho_f_w, which keeps
+    every SINR and lowers every AP load (see solve_ipce); a warm point at a
+    power not below rho_f_w is ignored. Without warm the solve cold-starts.
+
+    Fully deterministic given (config, instance, rho_f_w, warm). Infeasible or
     failed solves are reported as rows with their status rather than dropped;
     a solve that raises NonConcaveObjectiveError or InfeasibleStartError gives
-    a NaN row with status `error:<exception name>`.
+    a NaN row with status `error:<exception name>`. Each row carries its power
+    coefficients in `eta`.
     """
     zf = instance.zf
     m = zf.n_aps
@@ -271,44 +282,44 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float) -> l
         # which keeps the baseline feasible and the comparison meaningful.
         floors = np.full(config.k, float(equal_rates.min()))
     qos = QosSpec.from_floor(floors, params)
-    qos_rule = str(config.qos).strip()
+    warm_eta = None
+    if warm is not None and warm[0] < rho_f_w:
+        warm_eta = warm[1] * (warm[0] / rho_f_w)
 
     zf_perfect = dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))
     rows = []
     for scheme in config.schemes:
         t0 = time.perf_counter()
         if scheme == "equal":
+            alloc = equal
             ee = energy_efficiency(equal.eta, zf, params)
             sum_se = float(equal_rates.sum())
             iters, status = 0, STATUS_CONVERGED
         elif scheme in ("pce", "ipce"):
-            solve, view = (solve_pce, zf_perfect) if scheme == "pce" else (solve_ipce, zf)
             try:
-                alloc, report = solve(zf, params, qos)
+                if scheme == "pce":
+                    alloc, report = solve_pce(zf, params, qos)
+                else:
+                    alloc, report = solve_ipce(zf, params, qos, warm=warm_eta)
                 iters, status = report.outer_iterations, report.status
             except (NonConcaveObjectiveError, InfeasibleStartError) as exc:
                 # One failed solve becomes a NaN row; the sweep goes on.
                 alloc, iters, status = None, 0, f"{STATUS_ERROR}:{type(exc).__name__}"
-            ee, sum_se = _scheme_metrics(alloc, view, params)
+            ee, sum_se = _scheme_metrics(alloc, zf_perfect if scheme == "pce" else zf, params)
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
         wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append(
-            ResultRow(
-                scheme=scheme,
-                m=m,
-                k=config.k,
-                rho_f_w=rho_f_w,
-                qos_rule=qos_rule,
-                seed=instance.seed,
-                ee_bits_per_joule=ee,
-                sum_se=sum_se,
-                iters=iters,
-                status=status,
-                wall_ms=wall_ms if config.record_timings else 0.0,
-            )
+            _row(config, m, rho_f_w, instance.seed, scheme, ee_bits_per_joule=ee, sum_se=sum_se, iters=iters,
+                 status=status, wall_ms=wall_ms if config.record_timings else 0.0,
+                 eta=None if alloc is None else alloc.eta)
         )
     return rows
+
+
+def _row(config: ExperimentConfig, m: int, rho_f_w: float, seed: int, scheme: str, **result) -> ResultRow:
+    return ResultRow(scheme=scheme, m=m, k=config.k, rho_f_w=rho_f_w, qos_rule=str(config.qos).strip(), seed=seed,
+                     **result)
 
 
 def _scheme_metrics(alloc, zf_view, params) -> tuple:
@@ -334,10 +345,40 @@ def _sweep(config: ExperimentConfig, m_list: list, rho_f_list: list) -> list:
     rows = []
     for m in m_list:
         for t in range(config.n_topologies):
-            instance = build_instance(config, m, run_seed(config, t))
-            for rho_f_w in rho_f_list:
-                rows.extend(run_point(config, instance, rho_f_w))
+            rows.extend(run_topology(config, m, t, rho_f_list))
     return _sorted_rows(rows)
+
+
+def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_list: list) -> list:
+    """Rows of one (M, topology) instance at every power of rho_f_list, in list order.
+
+    The powers are chained: each run_point is warm-started from the power just
+    before it in the list when that power is smaller and its IPCE row holds an
+    allocation. The first power, a power after a larger or equal one (so every
+    power of a descending list), and a power after an infeasible or error IPCE
+    row cold-start. A SingularChannelError while building the instance gives
+    NaN rows with status `error:SingularChannelError` for every power and
+    scheme of the instance.
+    """
+    seed = run_seed(config, topology_index)
+    try:
+        instance = build_instance(config, m, seed)
+    except SingularChannelError as exc:
+        status = f"{STATUS_ERROR}:{type(exc).__name__}"
+        nan = float("nan")
+        return [
+            _row(config, m, rho, seed, scheme, ee_bits_per_joule=nan, sum_se=nan, iters=0, status=status, wall_ms=0.0)
+            for rho in rho_f_list
+            for scheme in config.schemes
+        ]
+    rows = []
+    warm = None
+    for rho_f_w in rho_f_list:
+        point = run_point(config, instance, rho_f_w, warm=warm)
+        rows.extend(point)
+        ipce = next((r for r in point if r.scheme == "ipce" and r.eta is not None), None)
+        warm = None if ipce is None else (rho_f_w, ipce.eta)
+    return rows
 
 
 def _sorted_rows(rows: list) -> list:

@@ -7,11 +7,19 @@ square-root power coefficients z (so eta = z^2), the objective
     F(z) = sum_k ln(1 + x_k(z)) / t(z),
     x_k(z) = rho_f z_k^2 / (1 + rho_f (gamma @ z^2)_k),   t(z) = reduced power,
 
-is maximized by iterating concave lower-bound models that are tight at the
-current point. The model combines the tangent bound of ln(1+1/x)/t (convex in
-x, t > 0) with the tangent bound of x^2/t; the leftover convex quadratic in
-the model and the difference-of-convex QoS rows are linearized with the same
-tangent trick, which keeps every iterate feasible for the original problem.
+is maximized by iterating concave models that are tight at the current
+point. The model combines the tangent bound of ln(1+1/x)/t (convex in x,
+t > 0) with the tangent of x^2/t; the leftover convex quadratic in the model
+and the difference-of-convex QoS rows are linearized with the same tangent
+trick, which keeps every iterate feasible for the original problem.
+
+The model is tight to first order at the expansion point (same value and
+gradient) but is not a global minorant of F: the 1/x_k term enters with a
+negative sign, so bounding it needs an upper bound on z_j^2/z_k^2, and the
+tangent of the quadratic-over-linear z_j^2/t at t = z_k^2 is a lower bound.
+A step can therefore lower the true EE. `SolveReport.minorant_violations`
+counts the steps whose new point the as-written model overestimates, and
+`ascent_violations` the steps that lowered the true EE.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .power import (
     PowerAllocation,
     PowerParams,
     QosSpec,
+    check_feasibility,
     energy_efficiency,
     equal_power_allocation,
     reduced_power,
@@ -47,6 +56,9 @@ EE_TOL = 1e-6
 # KKT tolerance of each model solve, in the scaled units.
 INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
+# Weight of the feasible_point start in a warm start: any positive weight
+# keeps the blend strictly inside every row that the warm point satisfies.
+WARM_BLEND = 1e-3
 _MINORANT_TOL = 1e-9
 _ASCENT_TOL = 1e-8
 
@@ -77,7 +89,7 @@ def fractional_objective(z: np.ndarray, zf: ZfStatistics, params: PowerParams) -
 
 
 def build_surrogate(z_bar: np.ndarray, zf: ZfStatistics, params: PowerParams) -> Surrogate:
-    """Expand the lower-bound model at z_bar (strictly positive, feasible)."""
+    """Expand the model at z_bar (strictly positive, feasible); tight there to first order."""
     z_bar = np.asarray(z_bar, dtype=float)
     floor = _floor_z(zf.theta)
     if np.any(z_bar < floor * (1.0 - 1e-9)):
@@ -95,7 +107,7 @@ def build_surrogate(z_bar: np.ndarray, zf: ZfStatistics, params: PowerParams) ->
 
 
 def surrogate_value(surr: Surrogate, z: np.ndarray, zf: ZfStatistics, params: PowerParams) -> float:
-    """The lower-bound model F^(n)(z) as constructed, cross terms included."""
+    """The model F^(n)(z) as constructed, cross terms included (not a global minorant of F)."""
     z = np.asarray(z, dtype=float)
     u = z * z
     z_bar = surr.expansion
@@ -194,7 +206,7 @@ def sca_step(
     return z_scale * v_new, report
 
 
-def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
+def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     """Power control under imperfect CSI by successive concave models.
 
     Starts from the interior point of feasible_point, iterates build_surrogate
@@ -202,8 +214,17 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     best-EE iterate with the full trajectory. The status is `converged` only
     when the EE change closed and the last model solve converged, `max-iter`
     otherwise. A step that decreases the true EE (beyond relative 1e-8) is
-    recorded and flags the report status instead; the model's lower-bound
-    property is monitored the same way.
+    recorded and flags the report status instead; steps where the model
+    overestimates the true objective are counted as minorant violations.
+
+    warm, optional, is a power-coefficient vector to start next to, such as
+    the optimum at a smaller per-AP power cap scaled by the ratio of the caps
+    (which keeps every SINR and lowers every AP load). feasible_point still
+    runs first, so an infeasible problem is still reported as such. When warm
+    satisfies every QoS and per-AP row, the start is the blend
+    (1 - WARM_BLEND) warm + WARM_BLEND feasible_point, which is strictly
+    inside; otherwise (say, floors that rose with the cap) the cold start is
+    used.
 
     Returns (PowerAllocation or None, SolveReport).
     """
@@ -215,9 +236,12 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
         report.status = STATUS_INFEASIBLE
         report.wall_time_s = time.perf_counter() - t0
         return None, report
+    eta0 = start.eta
+    if warm is not None and check_feasibility(warm, zf, params, qos, tol=0.0).feasible:
+        eta0 = (1.0 - WARM_BLEND) * warm + WARM_BLEND * start.eta
 
     floor = _floor_z(zf.theta)
-    z = np.maximum(np.sqrt(start.eta), 1.5 * floor)
+    z = np.maximum(np.sqrt(eta0), 1.5 * floor)
     ee = energy_efficiency(z * z, zf, params)
     report.ee_trajectory.append(ee)
     report.iterates.append(z * z)

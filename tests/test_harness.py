@@ -12,10 +12,12 @@ from cellfree_ee.harness import (
     rows_to_csv,
     run_point,
     run_seed,
+    run_topology,
     sweep_m,
     sweep_rho_f,
 )
 from cellfree_ee.inner import InfeasibleStartError
+from cellfree_ee.zfstats import SingularChannelError
 
 
 def tiny_config(**overrides):
@@ -155,14 +157,85 @@ class TestSweeps:
         config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=2)
         rows = sweep_rho_f(config)
         assert len(calls) == 2
-        # A fresh instance per point, as before the instance was shared.
-        pointwise = [
+        # A fresh instance per topology, each power warm-started from the
+        # IPCE row of the power before it.
+        chained = []
+        for t in range(config.n_topologies):
+            instance = build_instance(config, 12, run_seed(config, t))
+            warm = None
+            for rho in config.rho_f_w_list:
+                point = run_point(config, instance, rho, warm=warm)
+                chained.extend(point)
+                warm = (rho, next(r for r in point if r.scheme == "ipce").eta)
+        assert rows == sorted(chained, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
+
+    def test_descending_powers_equal_cold_points(self):
+        config = tiny_config(rho_f_w_list=[0.8, 0.4, 0.2], n_topologies=2)
+        cold = [
             row
-            for rho in config.rho_f_w_list
             for t in range(config.n_topologies)
+            for rho in config.rho_f_w_list
             for row in run_point(config, build_instance(config, 12, run_seed(config, t)), rho)
         ]
-        assert rows == sorted(pointwise, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
+        expected = sorted(cold, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
+        assert rows_to_csv(sweep_rho_f(config)).encode() == rows_to_csv(expected).encode()
+
+    @staticmethod
+    def _spy_ipce(monkeypatch, fail_first=False):
+        """Record the warm argument of every solve_ipce call; optionally raise on the first."""
+        warms = []
+        solve = harness.solve_ipce
+
+        def spy(zf, params, qos, warm=None):
+            warms.append(warm)
+            if fail_first and len(warms) == 1:
+                raise InfeasibleStartError("start violates a constraint by 1.000e-16")
+            return solve(zf, params, qos, warm=warm)
+
+        monkeypatch.setattr(harness, "solve_ipce", spy)
+        return warms
+
+    def test_power_after_infeasible_row_cold_starts(self, monkeypatch):
+        # A 1.0 bit/s/Hz floor cannot be met at 0.01 W but can at 0.2 W.
+        config = tiny_config(rho_f_w_list=[0.01, 0.2, 0.4], qos="1.0", n_topologies=1)
+        warms = self._spy_ipce(monkeypatch)
+        rows = run_topology(config, 12, 0, config.rho_f_w_list)
+        ipce = [r for r in rows if r.scheme == "ipce"]
+        assert [r.status for r in ipce] == ["infeasible", "converged", "converged"]
+        assert warms[0] is None and warms[1] is None and warms[2] is not None
+        cold = run_point(config, build_instance(config, 12, run_seed(config, 0)), 0.2)
+        assert rows[len(config.schemes):2 * len(config.schemes)] == cold
+
+    def test_power_after_error_row_cold_starts(self, monkeypatch):
+        config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=1)
+        warms = self._spy_ipce(monkeypatch, fail_first=True)
+        rows = run_topology(config, 12, 0, config.rho_f_w_list)
+        ipce = [r for r in rows if r.scheme == "ipce"]
+        assert ipce[0].status == "error:InfeasibleStartError"
+        assert warms[1] is None and warms[2] is not None
+        monkeypatch.undo()
+        cold = run_point(config, build_instance(config, 12, run_seed(config, 0)), 0.4)
+        assert rows[len(config.schemes):2 * len(config.schemes)] == cold
+
+    def test_rising_floors_fall_back_to_cold_starts(self):
+        # Under the equal-power-rate rule the floors rise with the power, so
+        # the scaled optimum of the smaller power can miss a floor.
+        config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=3)
+        rows = sweep_rho_f(config)
+        assert all(r.status == "converged" for r in rows)
+
+    def test_warm_start_clears_ascent_flags_on_benchmark_seed(self):
+        # The sweep_rhof benchmark op at master seed 300042: cold solves at
+        # 1.2-2.2 W end `ascent-flag` after a step that lowered the true EE.
+        config = ExperimentConfig(m_list=[100], k=16, rho_f_w_list=[round(0.2 * i, 1) for i in range(1, 12)],
+                                  qos="1.0", n_mc=400, n_topologies=1, master_seed=300042)
+        instance = build_instance(config, 100, run_seed(config, 0))
+        warm, statuses = None, []
+        for rho in config.rho_f_w_list:
+            ipce = next(r for r in run_point(config, instance, rho, warm=warm) if r.scheme == "ipce")
+            statuses.append(ipce.status)
+            warm = (rho, ipce.eta)
+        assert statuses == ["converged"] * len(config.rho_f_w_list)
 
     def test_aggregate_counts_infeasible(self):
         config = tiny_config(qos="50.0", schemes=("equal", "pce"), n_topologies=1)
@@ -177,7 +250,7 @@ class TestSweeps:
         config = tiny_config()
         clean = sweep_m(config)
 
-        def broken(zf, params, qos):
+        def broken(zf, params, qos, warm=None):
             raise InfeasibleStartError("start violates a constraint by 1.000e-16")
 
         monkeypatch.setattr(harness, "solve_ipce", broken)
@@ -188,6 +261,28 @@ class TestSweeps:
         assert all(r.status == "error:InfeasibleStartError" and np.isnan(r.ee_bits_per_joule) for r in failed)
         ipce_line = next(l for l in aggregate_rows(rows).splitlines() if l.startswith("ipce,"))
         assert ipce_line.split(",")[5:8] == ["2", "0", "2"]
+
+    def test_singular_topology_becomes_error_rows(self, monkeypatch):
+        config = tiny_config(rho_f_w_list=[0.2, 0.4], n_topologies=2)
+        clean = sweep_rho_f(config)
+        estimate = harness.estimate_zf_statistics
+        calls = []
+
+        def singular_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise SingularChannelError("rejection rate 2.00% exceeds 1% (20/1000)")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_zf_statistics", singular_first)
+        rows = sweep_rho_f(config)
+        bad_seed = run_seed(config, 0)
+        failed = [r for r in rows if r.seed == bad_seed]
+        assert len(failed) == len(config.rho_f_w_list) * len(config.schemes)
+        assert all(r.status == "error:SingularChannelError" and np.isnan(r.ee_bits_per_joule) for r in failed)
+        assert [r for r in rows if r.seed != bad_seed] == [r for r in clean if r.seed != bad_seed]
+        for line in aggregate_rows(rows).splitlines()[1:]:
+            assert line.split(",")[5:8] == ["2", "1", "1"]
 
 
 class TestCli:
@@ -204,6 +299,18 @@ class TestCli:
 
     def test_missing_config_file_exit_code(self):
         assert main(["single", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG_ERROR
+
+    def test_single_singular_topology_exit_code(self, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularChannelError("rejection rate 2.00% exceeds 1% (20/1000)")
+
+        monkeypatch.setattr(harness, "estimate_zf_statistics", singular)
+        code = main(["single", "--schemes", "equal,ipce", "--topologies", "1", "--mc", "100"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert code == EXIT_ALL_INFEASIBLE
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["equal", "ipce"]
+        assert all(line.split(",")[9] == "error:SingularChannelError" for line in lines[1:])
 
     def test_all_infeasible_exit_code(self, tmp_path):
         cfg = tmp_path / "hard.cfg"
