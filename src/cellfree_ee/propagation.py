@@ -154,7 +154,19 @@ def draw_realization(stats: MmseStats, rng) -> ChannelRealization:
     return ChannelRealization(g_hat=g_hat, g_err=g_err)
 
 
-def _complex_gaussian(var: np.ndarray, rng, extra_shape: tuple = ()) -> np.ndarray:
-    shape = extra_shape + var.shape
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _complex_gaussian(var: np.ndarray, rng) -> np.ndarray:
+    return _complex_from_normals(np.sqrt(var / 2.0), rng.standard_normal((2,) + var.shape))
+
+
+def _complex_from_normals(scale: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """scale * (normals[0] + 1j * normals[1]) without complex temporaries.
+
+    The values are bit for bit those of the literal expression; only where
+    scale is exactly zero can the sign of a zero part differ. One rng call of
+    shape (2,) + shape draws the real parts, then the imaginary parts: the
+    same stream as two calls of shape `shape`.
+    """
+    out = np.empty(normals.shape[1:], dtype=complex)
+    np.multiply(scale, normals[0], out=out.real)
+    np.multiply(scale, normals[1], out=out.imag)
+    return out

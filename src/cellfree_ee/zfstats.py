@@ -17,12 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import MmseStats, _complex_gaussian
+from .propagation import MmseStats, _complex_from_normals
 
 # Draws whose Gram matrix is worse-conditioned than this are discarded.
 CONDITION_LIMIT = 1e10
 # Precoder identity G_hat^T B = I must hold to this tolerance on every draw.
 ZF_IDENTITY_TOL = 1e-8
+# Complex draws per zero-forcing chunk, in bytes: a chunk and its temporaries
+# stay in cache, where a whole batch would stream through memory.
+CHUNK_BYTES = 1 << 20
 
 
 class SingularChannelError(RuntimeError):
@@ -88,23 +91,25 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 5
         raise ValueError("n_mc must be at least 1")
     rng = np.random.default_rng(rng)
 
-    theta_sum = np.zeros((m, k))
-    theta_sq = np.zeros((m, k))
-    gamma_sum = np.zeros((k, k))
-    gamma_sq = np.zeros((k, k))
+    # theta, theta squared, gamma, gamma squared: running totals, and the sums
+    # of the current batch carried across its chunks.
+    totals = [np.zeros((m, k)), np.zeros((m, k)), np.zeros((k, k)), np.zeros((k, k))]
+    batch = [np.zeros_like(t) for t in totals]
     accepted = 0
     attempts = 0
 
-    for precoder, _, drawn in _zf_batches(stats, n_mc, rng, batch_size):
+    for precoder, _, drawn, batch_done in _zf_batches(stats, n_mc, rng, batch_size):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
-        theta_sum += abs_b2.sum(axis=0)
-        theta_sq += (abs_b2**2).sum(axis=0)
-        gamma_sum += gamma_draw.sum(axis=0)
-        gamma_sq += (gamma_draw**2).sum(axis=0)
+        terms = (abs_b2, abs_b2**2, gamma_draw, gamma_draw**2)
+        batch = [_carry_sum(c, rows) for c, rows in zip(batch, terms)]
         accepted += abs_b2.shape[0]
         attempts += drawn
+        if batch_done:
+            for total, c in zip(totals, batch):
+                total += c
+            batch = [np.zeros_like(t) for t in totals]
 
     rejected = attempts - accepted
     if rejected / attempts > 0.01:
@@ -112,11 +117,10 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 5
             f"rejection rate {rejected / attempts:.2%} exceeds 1% ({rejected}/{attempts})"
         )
 
-    theta = theta_sum / accepted
-    gamma = gamma_sum / accepted
+    theta_sum, theta_sq, gamma_sum, gamma_sq = totals
     return ZfStatistics(
-        gamma=gamma,
-        theta=theta,
+        gamma=gamma_sum / accepted,
+        theta=theta_sum / accepted,
         n_realizations=accepted,
         n_rejected=rejected,
         gamma_se=_mean_se(gamma_sum, gamma_sq, accepted),
@@ -142,16 +146,30 @@ def validate_sinr(
     returned with its standard error for comparison against the gamma model.
     """
     eta = np.asarray(eta, dtype=float)
-    rng = np.random.default_rng(rng)
     k = stats.shape[1]
+    if n_mc < 1:
+        raise ValueError("n_mc must be at least 1")
+    if eta.shape != (k,):
+        raise ValueError(f"eta must have shape ({k},), got {eta.shape}")
+    if zf.theta.shape != stats.shape:
+        raise ValueError(f"zf statistics are for shape {zf.theta.shape}, the channel is {stats.shape}")
+    rng = np.random.default_rng(rng)
     amp = np.sqrt(eta)
 
     interf_sum = np.zeros(k)
     interf_sq = np.zeros(k)
     accepted = 0
+    precoders, errors = [], []
 
-    for precoder, g_err, _ in _zf_batches(stats, n_mc, rng, batch_size, with_error=True):
+    for chunk, chunk_err, _, batch_done in _zf_batches(stats, n_mc, rng, batch_size, with_error=True):
+        precoders.append(chunk)
+        errors.append(chunk_err)
+        if not batch_done:
+            continue
+        precoder, g_err = np.concatenate(precoders), np.concatenate(errors)
+        precoders, errors = [], []
         nb = precoder.shape[0]
+        # symbols are drawn once the batch's accepted count is known
         symbols = np.exp(2j * np.pi * rng.random((nb, k)))
         # error channel of user k through the precoder columns: (b, K, K)
         leak = np.swapaxes(g_err, 1, 2) @ precoder
@@ -171,49 +189,96 @@ def validate_sinr(
 
 
 def _zf_batches(stats: MmseStats, n_mc: int, rng, batch_size: int, with_error: bool = False):
-    """Batches of accepted zero-forcing draws until n_mc draws are accepted.
+    """Accepted zero-forcing draws, chunk by chunk, until n_mc draws are accepted.
 
-    Each batch draws g_hat, then g_err when with_error is set, from rng in
-    that order, and drops the draws _batched_zf rejects. Yields
-    (precoder, g_err, drawn): g_err of the accepted draws or None, and the
-    number of draws attempted in the batch. Raises SingularChannelError once
-    more than 2 * n_mc + 1000 draws have been attempted.
+    Each batch draws the normals of g_hat, then of g_err when with_error is
+    set, with one rng call each, and runs _batched_zf on chunks of at most
+    CHUNK_BYTES of complex draws (at least one draw). Yields
+    (precoder, g_err, drawn, batch_done) per chunk: g_err of the accepted
+    draws or None, the number of draws attempted in the chunk, and whether
+    the chunk ends its batch. Raises SingularChannelError once more than
+    2 * n_mc + 1000 draws have been attempted.
     """
+    m, k = stats.shape
+    chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
+    scale_hat = np.sqrt(stats.var_hat / 2.0)
+    scale_err = np.sqrt(stats.var_err / 2.0)
     accepted = 0
     attempts = 0
     max_attempts = 2 * n_mc + 1000
     while accepted < n_mc:
         b = min(batch_size, n_mc - accepted)
-        g_hat = _complex_gaussian(stats.var_hat, rng, extra_shape=(b,))
-        g_err = _complex_gaussian(stats.var_err, rng, extra_shape=(b,)) if with_error else None
+        normals_hat = rng.standard_normal((2, b, m, k))
+        normals_err = rng.standard_normal((2, b, m, k)) if with_error else None
         attempts += b
-        precoder, ok = _batched_zf(g_hat)
-        accepted += precoder.shape[0]
-        yield precoder, (g_err[ok] if with_error else None), b
+        for start in range(0, b, chunk):
+            stop = min(start + chunk, b)
+            precoder, ok = _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start:stop]))
+            accepted += precoder.shape[0]
+            g_err = _complex_from_normals(scale_err, normals_err[:, start:stop][:, ok]) if with_error else None
+            yield precoder, g_err, stop - start, stop == b
         if attempts > max_attempts:
             raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
 
 
 def _batched_zf(g_hat: np.ndarray) -> tuple:
-    """Precoders for a batch of draws (B, M, K) plus the acceptance mask.
-
-    The Gram matrix G^T conj(G) is Hermitian, so its 2-norm condition number
-    is max|lambda| / min|lambda| over its eigenvalues.
-    """
-    gram = np.swapaxes(g_hat, 1, 2) @ g_hat.conj()
-    eig = np.abs(np.linalg.eigvalsh(gram))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = eig.max(axis=1) / eig.min(axis=1)
-    ok = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
-    if not ok.all():  # copy only when a draw is dropped: the batch dominates peak memory
-        g_hat, gram = g_hat[ok], gram[ok]
-    precoder = g_hat.conj() @ np.linalg.inv(gram)
+    """Precoders for a batch of draws (B, M, K) plus the acceptance mask."""
+    g_conj = g_hat.conj()
+    ok, inverse = _accepted_inverse(np.swapaxes(g_hat, 1, 2) @ g_conj)
+    if not ok.all():  # copy only when a draw is dropped
+        g_hat, g_conj = g_hat[ok], g_conj[ok]
+    precoder = g_conj @ inverse
     residual = np.swapaxes(g_hat, 1, 2) @ precoder
     residual -= np.eye(g_hat.shape[2])
     worst = np.max(np.abs(residual)) if residual.size else 0.0
     if worst > ZF_IDENTITY_TOL:
         raise SingularChannelError(f"precoder identity residual {worst:.3e} exceeds {ZF_IDENTITY_TOL:.0e}")
     return precoder, ok
+
+
+def _accepted_inverse(gram: np.ndarray) -> tuple:
+    """Acceptance mask cond_2(gram) <= CONDITION_LIMIT, and the accepted inverses.
+
+    The Frobenius bound ||A||_F ||A^-1||_F >= cond_2(A) settles almost every
+    draw from the inverse that the precoder needs anyway. Only draws whose
+    bound exceeds CONDITION_LIMIT / 2, or every draw of a batch where `inv`
+    meets an exactly singular matrix, take the exact eigenvalue test, so the
+    mask is always that of _condition_ok.
+    """
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        ok = _condition_ok(gram)
+        return ok, np.linalg.inv(gram[ok])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    ok = bound <= CONDITION_LIMIT / 2
+    near = ~ok
+    if near.any():
+        ok[near] = _condition_ok(gram[near])
+        inverse = inverse[ok]
+    return ok, inverse
+
+
+def _condition_ok(gram: np.ndarray) -> np.ndarray:
+    """cond_2(gram) <= CONDITION_LIMIT per draw, from the eigenvalues.
+
+    The Gram matrix is Hermitian, so its 2-norm condition number is
+    max|lambda| / min|lambda|; a zero eigenvalue rejects the draw.
+    """
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eig.max(axis=1) / eig.min(axis=1)
+    return np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+
+
+def _carry_sum(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """carry + rows[0] + rows[1] + ..., added in that order.
+
+    numpy's axis-0 sum adds rows one after another, so carrying a partial sum
+    from one chunk into the next gives the bits of one sum over the batch.
+    """
+    return np.add.reduce(np.concatenate((carry[None], rows)), axis=0)
 
 
 def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> np.ndarray:

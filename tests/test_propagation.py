@@ -136,6 +136,17 @@ class TestDrawRealization:
         b = draw_realization(stats, rng=42)
         assert np.array_equal(a.g_hat, b.g_hat) and np.array_equal(a.g_err, b.g_err)
 
+    def test_same_stream_and_bits_as_two_draws_per_matrix(self):
+        # The real and imaginary parts come from one rng call per matrix and
+        # must equal the literal scale * (re + 1j * im) of two calls, bit for bit.
+        beta = 10.0 ** np.random.default_rng(3).uniform(-13.0, -9.0, size=(7, 3))
+        stats = mmse_stats(beta, rho_r=1e11, tau_u=3)
+        real = draw_realization(stats, rng=5)
+        rng = np.random.default_rng(5)
+        for var, got in ((stats.var_hat, real.g_hat), (stats.var_err, real.g_err)):
+            want = np.sqrt(var / 2.0) * (rng.standard_normal(var.shape) + 1j * rng.standard_normal(var.shape))
+            assert got.tobytes() == want.tobytes()
+
     def test_sample_variance_matches_statistics(self):
         # Monte-Carlo oracle: the sample second moment of n complex-Gaussian
         # draws has standard error var / sqrt(n) (|g|^2 is exponential).

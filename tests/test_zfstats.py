@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cellfree_ee import zfstats
 from cellfree_ee.propagation import MmseStats, mmse_stats
 from cellfree_ee.zfstats import (
     CONDITION_LIMIT,
@@ -143,3 +144,225 @@ class TestValidateSinr:
         predicted_se = 5.0 * (zf.gamma_se @ eta)
         tolerance = 3.0 * np.sqrt(out.interference_se**2 + predicted_se**2)
         assert np.all(np.abs(out.interference - out.predicted_interference) <= tolerance)
+
+
+class TestValidateSinrInputs:
+    def setup_method(self):
+        self.stats = _stats(6, 2)
+        self.zf = estimate_zf_statistics(self.stats, 50, rng=0)
+
+    def test_rejects_no_draws(self):
+        with pytest.raises(ValueError, match="n_mc"):
+            validate_sinr(self.stats, self.zf, np.array([0.1, 0.1]), rho_f=1.0, n_mc=0, rng=0)
+
+    def test_rejects_eta_of_wrong_length(self):
+        with pytest.raises(ValueError, match="eta"):
+            validate_sinr(self.stats, self.zf, np.array([0.1, 0.1, 0.1]), rho_f=1.0, n_mc=10, rng=0)
+
+    def test_rejects_statistics_of_another_shape(self):
+        other = estimate_zf_statistics(_stats(7, 2), 50, rng=0)
+        with pytest.raises(ValueError, match="shape"):
+            validate_sinr(self.stats, other, np.array([0.1, 0.1]), rho_f=1.0, n_mc=10, rng=0)
+
+
+# Reference implementation: the per-batch Monte Carlo as it was before the
+# chunked rewrite (names and error messages shortened), kept as the bitwise
+# oracle. It reads zfstats.CONDITION_LIMIT at call time, so a patched limit
+# reaches both.
+
+
+def _oracle_complex_gaussian(var, rng, extra_shape=()):
+    shape = extra_shape + var.shape
+    scale = np.sqrt(var / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _oracle_batched_zf(g_hat):
+    gram = np.swapaxes(g_hat, 1, 2) @ g_hat.conj()
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eig.max(axis=1) / eig.min(axis=1)
+    ok = np.isfinite(cond) & (cond <= zfstats.CONDITION_LIMIT)
+    if not ok.all():
+        g_hat, gram = g_hat[ok], gram[ok]
+    precoder = g_hat.conj() @ np.linalg.inv(gram)
+    residual = np.swapaxes(g_hat, 1, 2) @ precoder
+    residual -= np.eye(g_hat.shape[2])
+    worst = np.max(np.abs(residual)) if residual.size else 0.0
+    if worst > zfstats.ZF_IDENTITY_TOL:
+        raise SingularChannelError(f"precoder identity residual {worst:.3e}")
+    return precoder, ok
+
+
+def _oracle_batches(stats, n_mc, rng, batch_size, with_error=False):
+    accepted = 0
+    attempts = 0
+    max_attempts = 2 * n_mc + 1000
+    while accepted < n_mc:
+        b = min(batch_size, n_mc - accepted)
+        g_hat = _oracle_complex_gaussian(stats.var_hat, rng, extra_shape=(b,))
+        g_err = _oracle_complex_gaussian(stats.var_err, rng, extra_shape=(b,)) if with_error else None
+        attempts += b
+        precoder, ok = _oracle_batched_zf(g_hat)
+        accepted += precoder.shape[0]
+        yield precoder, (g_err[ok] if with_error else None), b
+        if attempts > max_attempts:
+            raise SingularChannelError("rejection cap hit")
+
+
+def _oracle_estimate(stats, n_mc, rng, batch_size=512):
+    m, k = stats.shape
+    rng = np.random.default_rng(rng)
+    theta_sum = np.zeros((m, k))
+    theta_sq = np.zeros((m, k))
+    gamma_sum = np.zeros((k, k))
+    gamma_sq = np.zeros((k, k))
+    accepted = 0
+    attempts = 0
+    for precoder, _, drawn in _oracle_batches(stats, n_mc, rng, batch_size):
+        abs_b2 = np.abs(precoder) ** 2
+        gamma_draw = stats.var_err.T @ abs_b2
+        theta_sum += abs_b2.sum(axis=0)
+        theta_sq += (abs_b2**2).sum(axis=0)
+        gamma_sum += gamma_draw.sum(axis=0)
+        gamma_sq += (gamma_draw**2).sum(axis=0)
+        accepted += abs_b2.shape[0]
+        attempts += drawn
+    rejected = attempts - accepted
+    if rejected / attempts > 0.01:
+        raise SingularChannelError("rejection rate exceeds 1%")
+    return zfstats.ZfStatistics(
+        gamma=gamma_sum / accepted,
+        theta=theta_sum / accepted,
+        n_realizations=accepted,
+        n_rejected=rejected,
+        gamma_se=zfstats._mean_se(gamma_sum, gamma_sq, accepted),
+        theta_se=zfstats._mean_se(theta_sum, theta_sq, accepted),
+    )
+
+
+def _oracle_validate(stats, zf, eta, rho_f, n_mc, rng, batch_size=512):
+    eta = np.asarray(eta, dtype=float)
+    rng = np.random.default_rng(rng)
+    k = stats.shape[1]
+    amp = np.sqrt(eta)
+    interf_sum = np.zeros(k)
+    interf_sq = np.zeros(k)
+    accepted = 0
+    for precoder, g_err, _ in _oracle_batches(stats, n_mc, rng, batch_size, with_error=True):
+        nb = precoder.shape[0]
+        symbols = np.exp(2j * np.pi * rng.random((nb, k)))
+        leak = np.swapaxes(g_err, 1, 2) @ precoder
+        interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols)[:, :, None])[:, :, 0]
+        p = np.abs(interf_amp) ** 2
+        interf_sum += p.sum(axis=0)
+        interf_sq += (p**2).sum(axis=0)
+        accepted += nb
+    return interf_sum / accepted, zfstats._mean_se(interf_sum, interf_sq, accepted), accepted
+
+
+def _spy_exact_test(monkeypatch):
+    """Record the number of draws of every call to the exact eigenvalue test."""
+    seen = []
+    condition_ok = zfstats._condition_ok
+    monkeypatch.setattr(zfstats, "_condition_ok", lambda gram: seen.append(len(gram)) or condition_ok(gram))
+    return seen
+
+
+def _assert_same_statistics(got, want):
+    for name in ("gamma", "theta", "gamma_se", "theta_se", "n_realizations", "n_rejected"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestBitwiseAgainstPerBatchLoop:
+    # (M, K, n_mc, batch_size): 15 and 10 chunks in one batch at M=120 and
+    # M=100, two full batches of three chunks and a short last batch at M=20,
+    # ten small batches at M=13, and one chunk per batch at M=16, K=2.
+    @pytest.mark.parametrize(
+        "m, k, n_mc, batch_size",
+        [(120, 16, 500, 512), (100, 16, 400, 512), (20, 16, 1100, 512), (13, 4, 1000, 100), (16, 2, 10000, 512)],
+    )
+    def test_estimate_matches(self, m, k, n_mc, batch_size):
+        stats = _stats(m, k, seed=m + k)
+        got = estimate_zf_statistics(stats, n_mc, np.random.default_rng(5), batch_size=batch_size)
+        want = _oracle_estimate(stats, n_mc, np.random.default_rng(5), batch_size=batch_size)
+        _assert_same_statistics(got, want)
+
+    def test_validate_matches(self):
+        stats = _stats(16, 2, seed=11)
+        rng = np.random.default_rng(13)
+        zf = estimate_zf_statistics(stats, 10_000, rng)
+        eta = np.array([0.04, 0.01])
+        got = validate_sinr(stats, zf, eta, rho_f=5.0, n_mc=20_000, rng=rng)
+        oracle_rng = np.random.default_rng(13)
+        _oracle_estimate(stats, 10_000, oracle_rng)
+        interference, interference_se, n = _oracle_validate(stats, zf, eta, 5.0, 20_000, oracle_rng)
+        assert np.array_equal(got.interference, interference)
+        assert np.array_equal(got.interference_se, interference_se)
+        assert got.n_realizations == n
+        # both consumed the same stream
+        assert rng.random() == oracle_rng.random()
+
+    def test_reject_and_redraw_path(self, monkeypatch):
+        # Near-square channels with a limit low enough that a small share of
+        # draws is rejected: the rejected draws go through the exact
+        # eigenvalue test and are redrawn in a second batch.
+        stats = _stats(17, 16, seed=2)
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 7e3)
+        exact_calls = _spy_exact_test(monkeypatch)
+        got = estimate_zf_statistics(stats, 3000, np.random.default_rng(8))
+        want = _oracle_estimate(stats, 3000, np.random.default_rng(8))
+        assert 0 < want.n_rejected <= 30  # 14 of 3014 attempts
+        assert exact_calls
+        _assert_same_statistics(got, want)
+        eta = np.full(16, 1e-3)
+        out = validate_sinr(stats, got, eta, rho_f=2.0, n_mc=3000, rng=np.random.default_rng(9))
+        interference, interference_se, n = _oracle_validate(stats, got, eta, 2.0, 3000, np.random.default_rng(9))
+        assert np.array_equal(out.interference, interference)
+        assert np.array_equal(out.interference_se, interference_se)
+        assert out.n_realizations == n == 3000
+
+
+def _grams_with_condition(kappas, k=4, seed=3):
+    """Hermitian positive definite U diag(s) U^H with 2-norm condition numbers kappas."""
+    rng = np.random.default_rng(seed)
+    grams = []
+    for kappa in kappas:
+        u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        s = np.geomspace(1.0, 1.0 / kappa, k) * rng.uniform(0.5, 2.0)
+        grams.append((u * s) @ u.conj().T)
+    return np.array(grams)
+
+
+class TestConditionShortcut:
+    LIMIT = CONDITION_LIMIT
+    KAPPAS = (LIMIT / 4, LIMIT / 2 * (1 - 1e-3), LIMIT / 2 * (1 + 1e-3), LIMIT * (1 - 1e-3), LIMIT * (1 + 1e-3), 4 * LIMIT)
+
+    @staticmethod
+    def _check_mask(gram, ok, inverse):
+        eig = np.abs(np.linalg.eigvalsh(gram))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = eig.max(axis=1) / eig.min(axis=1)
+        assert np.array_equal(ok, np.isfinite(cond) & (cond <= CONDITION_LIMIT))
+        assert np.array_equal(ok, np.linalg.cond(gram) <= CONDITION_LIMIT)
+        assert np.array_equal(inverse, np.linalg.inv(gram[ok]))
+
+    def test_bound_settles_far_draws_and_exact_test_the_near_ones(self, monkeypatch):
+        gram = _grams_with_condition(self.KAPPAS * 3)
+        seen = _spy_exact_test(monkeypatch)
+        ok, inverse = zfstats._accepted_inverse(gram)
+        self._check_mask(gram, ok, inverse)
+        assert np.array_equal(ok, np.tile([True, True, True, True, False, False], 3))
+        # the draws from LIMIT/2 up, and not those at LIMIT/4, took the exact test
+        assert seen == [12]
+
+    def test_singular_draw_sends_the_whole_batch_to_the_exact_test(self, monkeypatch):
+        gram = _grams_with_condition(self.KAPPAS * 2)
+        gram[4, 2, :] = gram[4, :, 2] = 0.0  # an exact zero pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(gram)
+        seen = _spy_exact_test(monkeypatch)
+        ok, inverse = zfstats._accepted_inverse(gram)
+        self._check_mask(gram, ok, inverse)
+        assert not ok[4]
+        assert seen == [len(gram)]
