@@ -97,7 +97,7 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
             diag = -prelog * rho_hat**2 / ((1.0 + rho_hat * x) ** 2 * ln2)
             if not np.all(diag < 0.0):
                 raise NonConcaveObjectiveError("parametric objective lost concavity")
-            return np.diag(diag)
+            return diag
 
         return value, gradient, hessian
 

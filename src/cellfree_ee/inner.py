@@ -6,14 +6,18 @@ x stays strictly inside (slacks s = -g(x) > 0) next to dual estimates
 lambda > 0, and Newton steps on the perturbed KKT system
 grad f = J^T lambda, lambda_i s_i = mu are damped by a fraction-to-boundary
 rule and an Armijo search on f + mu sum log s, while mu falls linearly.
-Problem sizes here are tiny (tens of variables), so Hessians are formed
-densely and factored directly.
+Problem sizes here are tiny (tens of variables) and every objective is
+separable, so the objective's Hessian is passed as its diagonal and the
+Newton matrix is formed densely and factored directly. Each step costs a
+few dozen numpy calls of that size, which sets the solver's speed.
 
 Callers are expected to scale variables and objective to order one; the
 tolerances below are absolute in that scaling.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,12 +63,19 @@ class ConstraintSet:
     def __len__(self) -> int:
         return self.bound.size
 
+    def slacks(self, x: np.ndarray) -> np.ndarray:
+        """-g(x) per row, bound - quad . x^2 - lin . x; strictly feasible points give positive values."""
+        return self.bound - self.quad @ (x * x) - self.lin @ x
+
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """g(x) per row; feasible points give nonpositive values."""
-        return self.quad @ (x * x) + self.lin @ x - self.bound
+        return -self.slacks(x)
 
     def row_grads(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.quad * x[None, :] + self.lin
+        """The Jacobian of g at x, one row per constraint."""
+        rows = self.quad * (2.0 * x)
+        rows += self.lin
+        return rows
 
 
 def solve_inner(
@@ -73,19 +84,24 @@ def solve_inner(
     start: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> tuple:
-    """Maximize a smooth concave objective over the constraint set.
+    """Maximize a smooth, separable concave objective over the constraint set.
 
     Parameters
     ----------
-    objective : (value, gradient, hessian) callables of x
+    objective : (value, gradient, hessian) callables of x. The objective must
+        be separable, f(x) = sum_j f_j(x_j), so `hessian(x)` returns the
+        diagonal of the Hessian as a 1-D array (every objective handed to this
+        solver in the package is: the SCA model, the Dinkelbach subproblem).
     constraints : ConstraintSet
     start : strictly feasible point (every row slack positive)
     tol : absolute KKT tolerance on stationarity and the duality-gap proxy
 
     Duals start at lambda = 1/s with mu = 1. Each Newton step solves
-    (-hess f + diag(2 quad^T lambda) + J^T diag(lambda/s) J) dx
-    = grad f - mu J^T (1/s), then ds = -J dx and
-    dlambda = mu/s - lambda - lambda ds/s. mu shrinks by _MU_DECREASE whenever
+    N dx = grad f - mu J^T (1/s) with the Newton matrix
+    N = J^T diag(lambda/s) J + diag(2 quad^T lambda - h), h the Hessian
+    diagonal, then sets ds = -J dx and dlambda = mu/s - lambda - lambda ds/s.
+    N is factored once by Cholesky as the positive-definiteness test, with a
+    growing ridge only if that fails. mu shrinks by _MU_DECREASE whenever
     max(stationarity, max |lambda s - mu|) <= _MU_TARGET mu, down to
     tol / (10 rows). The solve stops when stationarity <= tol and
     sum(lambda s) <= tol, or after _MAX_ITERS steps. The returned point never
@@ -101,60 +117,73 @@ def solve_inner(
     m = len(constraints)
     if m == 0:
         raise ValueError("constraint set is empty; the interior method needs at least one row")
-    s = -constraints.residuals(x)
-    if np.min(s) <= 0.0:
-        raise InfeasibleStartError(f"start violates a constraint by {float(np.max(-s)):.3e}")
+    s = constraints.slacks(x)
+    if s.min() <= 0.0:
+        raise InfeasibleStartError(f"start violates a constraint by {float(-s.min()):.3e}")
 
     quad = constraints.quad
+    diagonal = slice(None, None, x.size + 1)  # the diagonal of a flattened (n, n) matrix
     lam = 1.0 / s
     mu = 1.0
     mu_min = tol / (10.0 * m)
     f_start = f_x = value(x)
+    log_s = float(np.log(s).sum())
     iterations = 0
     while True:
         rows = constraints.row_grads(x)
         grad_f = gradient(x)
-        stationarity = float(np.max(np.abs(grad_f - rows.T @ lam)))
+        stationarity = float(np.abs(grad_f - lam @ rows).max())
         comp = lam * s
-        converged = stationarity <= tol and float(np.sum(comp)) <= tol * (1 + 1e-12)
+        gap = float(comp.sum())
+        converged = stationarity <= tol and gap <= tol * (1 + 1e-12)
         if converged or iterations == _MAX_ITERS:
             break
-        while mu > mu_min and max(stationarity, float(np.max(np.abs(comp - mu)))) <= _MU_TARGET * mu:
+        while (
+            mu > mu_min
+            and stationarity <= _MU_TARGET * mu
+            and float(np.abs(comp - mu).max()) <= _MU_TARGET * mu
+        ):
             mu = max(mu_min, _MU_DECREASE * mu)
 
-        hess_obj = hessian(x)
-        hess_phi = hess_obj - np.diag(2.0 * (quad.T @ lam)) - (rows * (lam / s)[:, None]).T @ rows
-        grad_phi = grad_f - mu * (rows.T @ (1.0 / s))
-        step = _solve_newton(hess_phi, grad_phi)
-        curv = float(step @ hess_obj @ step)
-        if curv > 1e-8 * float(step @ step) * max(1.0, abs(f_x)):
+        h = hessian(x)
+        inv_s = 1.0 / s
+        weight = lam * inv_s
+        newton = (rows * weight[:, None]).T @ rows
+        newton.ravel()[diagonal] += 2.0 * (lam @ quad) - h
+        grad_phi = grad_f - mu * (inv_s @ rows)
+        step = _solve_newton(newton, grad_phi)
+        curv = float((h * step) @ step)
+        if curv > 0.0 and curv > 1e-8 * float(step @ step) * max(1.0, abs(f_x)):
             raise NonConcaveObjectiveError(
                 f"objective curvature {curv:.3e} > 0 along the Newton step"
             )
         slope = float(grad_phi @ step)
-        if slope <= 0.0 or not np.isfinite(slope):
+        if not 0.0 < slope < math.inf:
             break
 
         lin_step = rows @ step  # -ds
-        d_lam = mu / s - lam + lam * lin_step / s
+        d_lam = mu * inv_s - lam + weight * lin_step
         # Fraction to the boundary: s and lambda keep at least 1 - tau of their value.
         tau = max(0.99, 1.0 - mu)
         alpha = _primal_step_limit(s, lin_step, quad @ (step * step), tau)
         shrinking = d_lam < 0.0
-        alpha_dual = min(1.0, float(np.min(-tau * lam[shrinking] / d_lam[shrinking], initial=np.inf)))
+        alpha_dual = 1.0
+        if shrinking.any():
+            alpha_dual = min(1.0, float((-tau * lam[shrinking] / d_lam[shrinking]).min()))
 
-        phi = f_x + mu * float(np.sum(np.log(s)))
+        phi = f_x + mu * log_s
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * step
-            s_new = -constraints.residuals(x_new)
-            if np.min(s_new) > 0.0:
+            s_new = constraints.slacks(x_new)
+            if s_new.min() > 0.0:
                 f_new = value(x_new)
-                if f_new + mu * float(np.sum(np.log(s_new))) >= phi + _ARMIJO_SLOPE * alpha * slope:
+                log_new = float(np.log(s_new).sum())
+                if f_new + mu * log_new >= phi + _ARMIJO_SLOPE * alpha * slope:
                     break
             alpha *= _BACKTRACK
         else:
             break
-        x, s, f_x = x_new, s_new, f_new
+        x, s, f_x, log_s = x_new, s_new, f_new, log_new
         lam = lam + alpha_dual * d_lam
         iterations += 1
 
@@ -165,8 +194,8 @@ def solve_inner(
     report = KktReport(
         objective=float(max(f_x, f_start)),
         stationarity=stationarity,
-        max_violation=float(max(np.max(-s), 0.0)),
-        comp_slackness=float(np.sum(comp)),
+        max_violation=float(max(-s.min(), 0.0)),
+        comp_slackness=gap,
         iterations=iterations,
         status=STATUS_CONVERGED if converged else STATUS_MAX_ITER,
         multipliers=lam,
@@ -188,21 +217,27 @@ def _primal_step_limit(s, lin_step, quad_step, tau):
     reserve = tau * s
     denom = lin_step + np.sqrt(lin_step * lin_step + 4.0 * quad_step * reserve)
     limiting = denom > 0.0
-    return min(1.0, float(np.min(2.0 * reserve[limiting] / denom[limiting], initial=np.inf)))
+    if not limiting.any():
+        return 1.0
+    return min(1.0, float((2.0 * reserve[limiting] / denom[limiting]).min()))
 
 
-def _solve_newton(hess_phi, grad_phi):
-    """Solve (-H) d = grad for the ascent direction, with a ridge fallback."""
-    neg_h = -hess_phi
+def _solve_newton(newton, grad_phi):
+    """Solve newton d = grad_phi for the ascent direction, with a ridge fallback.
+
+    The Cholesky factorization is the positive-definiteness test; np.eye and
+    the trace are built only when it fails and a ridge is added.
+    """
     ridge = 0.0
-    scale = max(float(np.trace(neg_h)) / neg_h.shape[0], 1e-12)
+    shifted = newton
     for _ in range(12):
         try:
-            chol = np.linalg.cholesky(neg_h + ridge * np.eye(neg_h.shape[0]))
-            y = np.linalg.solve(chol, grad_phi)
-            return np.linalg.solve(chol.T, y)
+            np.linalg.cholesky(shifted)
+            return np.linalg.solve(shifted, grad_phi)
         except np.linalg.LinAlgError:
+            scale = max(float(np.trace(newton)) / newton.shape[0], 1e-12)
             ridge = max(ridge * 10.0, 1e-14 * scale)
+            shifted = newton + ridge * np.eye(newton.shape[0])
     raise NonConcaveObjectiveError("Newton matrix could not be factored; constraint rows may be degenerate")
 
 

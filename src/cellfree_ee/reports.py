@@ -40,3 +40,4 @@ class SolveReport:
     wall_time_s: float = 0.0
     minorant_violations: int = 0
     ascent_violations: int = 0
+    backtracks: int = 0  # step halvings of the SCA iteration; 0 for Dinkelbach

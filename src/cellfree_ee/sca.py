@@ -17,9 +17,16 @@ The model is tight to first order at the expansion point (same value and
 gradient) but is not a global minorant of F: the 1/x_k term enters with a
 negative sign, so bounding it needs an upper bound on z_j^2/z_k^2, and the
 tangent of the quadratic-over-linear z_j^2/t at t = z_k^2 is a lower bound.
-A step can therefore lower the true EE. `SolveReport.minorant_violations`
-counts the steps whose new point the as-written model overestimates, and
-`ascent_violations` the steps that lowered the true EE.
+A step can therefore overshoot; since the model's gradient matches F's at
+the expansion point, the step is still an ascent direction, and solve_ipce
+halves it along its segment until F does not fall (`SolveReport.backtracks`
+counts the halvings). `SolveReport.minorant_violations` counts the steps
+whose new point the as-written model overestimates, and `ascent_violations`
+the steps that lowered the true EE, which the halving keeps at 0.
+
+Each model solve runs in v = z / z_scale, with the model divided by
+min(1, F(z_bar)), so the inner solver's tolerance is relative to F wherever
+F < 1 and stays the absolute one (which is then tighter) elsewhere.
 """
 
 from __future__ import annotations
@@ -53,9 +60,12 @@ from .zfstats import ZfStatistics
 SCA_FLOOR = 1e-6
 # Relative change of the true EE at which the iteration stops.
 EE_TOL = 1e-6
-# KKT tolerance of each model solve, in the scaled units.
+# KKT tolerance of each model solve; sca_step divides the model by
+# min(1, F(z_bar)), so the tolerance is relative to F when F < 1.
 INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
+# Halvings of a step that lowered F before the iterate stays where it was.
+MAX_HALVINGS = 30
 # Weight of the feasible_point start in a warm start: any positive weight
 # keeps the blend strictly inside every row that the warm point satisfies.
 WARM_BLEND = 1e-3
@@ -125,8 +135,20 @@ def surrogate_value(surr: Surrogate, z: np.ndarray, zf: ZfStatistics, params: Po
     return float(np.sum(per_user))
 
 
-def concave_model(surr: Surrogate, zf: ZfStatistics, params: PowerParams):
-    """Value/gradient/Hessian closures of the concavified model in z units.
+def concave_model(
+    surr: Surrogate,
+    zf: ZfStatistics,
+    params: PowerParams,
+    z_scale: float = 1.0,
+    f_scale: float = 1.0,
+):
+    """Value/gradient/Hessian-diagonal closures of the concavified model.
+
+    The closures take v = z / z_scale and return f_scale times the model and
+    its derivatives in v; the defaults give the model itself in z units. The
+    model is separable in z, so the Hessian is returned as its diagonal. Its
+    coefficients are computed once here, so a call costs a few array
+    operations.
 
     The positively-signed quadratic left in the model (from the x^2/t bound)
     is replaced by its tangent 2 z_bar z - z_bar^2, which lower-bounds it,
@@ -141,22 +163,54 @@ def concave_model(surr: Surrogate, zf: ZfStatistics, params: PowerParams):
     c_total = float(np.sum(surr.c))
     w = rho_f * params.n0_watts * (params.alpha @ zf.theta)  # t(z) = w . z^2 + p_fixed
     const = float(np.sum(surr.a) - np.sum(q * u_bar) - c_total * params.p_fixed)
+    # With z = z_scale v the model reads const - b / (rho_f z_scale^2) . v^-2
+    # + z_scale lin . v - c_total z_scale^2 w . v^2; every coefficient carries f_scale.
+    recip = f_scale * surr.b / (rho_f * z_scale**2)
+    lin_v = f_scale * z_scale * lin
+    quad_v = f_scale * c_total * z_scale**2 * w
+    const_v = f_scale * const
+    recip_2, recip_6, quad_2 = 2.0 * recip, -6.0 * recip, 2.0 * quad_v
 
-    def value(z):
-        return (
-            const
-            - float(np.sum(surr.b / (rho_f * z * z)))
-            + float(lin @ z)
-            - c_total * float(w @ (z * z))
-        )
+    def value(v):
+        v2 = v * v
+        return const_v - float((recip / v2).sum()) + float(lin_v @ v) - float(quad_v @ v2)
 
-    def gradient(z):
-        return 2.0 * surr.b / (rho_f * z**3) + lin - 2.0 * c_total * w * z
+    def gradient(v):
+        return recip_2 / v**3 + lin_v - quad_2 * v
 
-    def hessian(z):
-        return np.diag(-6.0 * surr.b / (rho_f * z**4) - 2.0 * c_total * w)
+    def hessian(v):
+        return recip_6 / v**4 - quad_2
 
     return value, gradient, hessian
+
+
+@dataclass(frozen=True)
+class ModelRows:
+    """Constraint rows of the model's feasible set in v = z / z_scale.
+
+    Row order: the K linearized QoS rows, the per-AP loads and the interior
+    floor v >= SCA_FLOOR. Only the linear part and the bound of the QoS rows
+    depend on the expansion point; `rows` holds zeros there, and sca_step
+    fills them in for each step.
+    """
+
+    z_scale: float  # square root of the equal-power coefficient
+    rho_hat: float  # rho_f times the equal-power coefficient
+    rows: ConstraintSet
+
+
+def model_rows(zf: ZfStatistics, params: PowerParams, qos: QosSpec) -> ModelRows:
+    """The rows of sca_step that stay fixed along one solve."""
+    theta = zf.theta
+    n_aps, k = theta.shape
+    eta_scale = float(equal_power_allocation(theta).eta[0])
+    rho_hat = params.rho_f * eta_scale
+    rows = ConstraintSet(
+        np.vstack([qos.sinr_floor[:, None] * rho_hat * zf.gamma, theta * eta_scale, np.zeros((k, k))]),
+        np.vstack([np.zeros((n_aps + k, k)), -np.eye(k)]),
+        np.concatenate([np.zeros(k), np.ones(n_aps), np.full(k, -SCA_FLOOR)]),
+    )
+    return ModelRows(float(np.sqrt(eta_scale)), rho_hat, rows)
 
 
 def sca_step(
@@ -164,41 +218,36 @@ def sca_step(
     zf: ZfStatistics,
     params: PowerParams,
     qos: QosSpec,
+    fixed: ModelRows | None = None,
 ) -> tuple:
     """Maximize the concavified model over the convexified constraint set.
 
     QoS rows are difference-of-convex in z; their signal side rho_f z_k^2 is
     replaced by the tangent rho_f (2 z_bar_k z_k - z_bar_k^2), so any point of
     the model's feasible set satisfies the original constraints. Per-AP rows
-    are convex and kept exact. Returns (z_new, KktReport); the expansion point
-    is returned unchanged when it is already optimal for its own model.
+    are convex and kept exact. The model is handed to solve_inner in
+    v = z / z_scale and divided by min(1, F(z_bar)), F(z_bar) being the
+    model's value at its expansion point: INNER_TOL is then relative to F
+    when F < 1, and the absolute tolerance, which is the tighter one, when
+    F >= 1. fixed is model_rows(zf, params, qos), built here when not given.
+    Returns (z_new, KktReport); the expansion point is returned unchanged
+    when it is already optimal for its own model.
     """
-    theta = zf.theta
-    k = theta.shape[1]
-    eta_scale = float(equal_power_allocation(theta).eta[0])
-    z_scale = np.sqrt(eta_scale)
-    rho_hat = params.rho_f * eta_scale
+    if fixed is None:
+        fixed = model_rows(zf, params, qos)
+    z_scale, rho_hat = fixed.z_scale, fixed.rho_hat
     v_bar = surr.expansion / z_scale
-    sinr_floor = qos.sinr_floor
+    k = v_bar.size
+    lin = fixed.rows.lin.copy()
+    np.fill_diagonal(lin[:k], -2.0 * rho_hat * v_bar)
+    bound = fixed.rows.bound.copy()
+    bound[:k] = -qos.sinr_floor - rho_hat * v_bar**2
+    constraints = ConstraintSet(fixed.rows.quad, lin, bound)
 
-    # Rows: linearized QoS, per-AP load, and the interior floor v >= SCA_FLOOR.
-    n_aps = theta.shape[0]
-    constraints = ConstraintSet(
-        np.vstack([sinr_floor[:, None] * rho_hat * zf.gamma, theta * eta_scale, np.zeros((k, k))]),
-        np.vstack([np.diag(-2.0 * rho_hat * v_bar), np.zeros((n_aps, k)), -np.eye(k)]),
-        np.concatenate([-sinr_floor - rho_hat * v_bar**2, np.ones(n_aps), np.full(k, -SCA_FLOOR)]),
-    )
-
-    value_z, grad_z, hess_z = concave_model(surr, zf, params)
-
-    def value(v):
-        return value_z(z_scale * v)
-
-    objective = (
-        value,
-        lambda v: z_scale * grad_z(z_scale * v),
-        lambda v: z_scale**2 * hess_z(z_scale * v),
-    )
+    # The model is tight at its expansion point, so its value there is F(z_bar) > 0.
+    f_bar = float(np.log1p(surr.x_n).sum()) / surr.t_n
+    objective = concave_model(surr, zf, params, z_scale=z_scale, f_scale=1.0 / min(1.0, f_bar))
+    value = objective[0]
 
     v_new, report = solve_inner(objective, constraints, v_bar, tol=INNER_TOL)
     if value(v_new) <= value(v_bar) + 1e-12 * max(1.0, abs(value(v_bar))):
@@ -211,11 +260,16 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
 
     Starts from the interior point of feasible_point, iterates build_surrogate
     and sca_step until the true energy efficiency stabilizes, and returns the
-    best-EE iterate with the full trajectory. The status is `converged` only
-    when the EE change closed and the last model solve converged, `max-iter`
-    otherwise. A step that decreases the true EE (beyond relative 1e-8) is
-    recorded and flags the report status instead; steps where the model
-    overestimates the true objective are counted as minorant violations.
+    best-EE iterate with the full trajectory. The rows that do not follow the
+    expansion point are built once (model_rows). When the model's maximizer
+    lowers F, the step is halved along the segment from the current point,
+    which stays in the convex model set, until F does not fall; after
+    MAX_HALVINGS halvings the iterate stays where it was, which ends the
+    iteration. The status is `converged` only when the EE change closed and
+    the last model solve converged, `max-iter` otherwise. A step that
+    decreases the true EE (beyond relative 1e-8) is recorded and flags the
+    report status instead; steps where the model overestimates the true
+    objective are counted as minorant violations.
 
     warm, optional, is a power-coefficient vector to start next to, such as
     the optimum at a smaller per-AP power cap scaled by the ratio of the caps
@@ -242,6 +296,8 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
 
     floor = _floor_z(zf.theta)
     z = np.maximum(np.sqrt(eta0), 1.5 * floor)
+    fixed = model_rows(zf, params, qos)
+    f = fractional_objective(z, zf, params)
     ee = energy_efficiency(z * z, zf, params)
     report.ee_trajectory.append(ee)
     report.iterates.append(z * z)
@@ -250,13 +306,25 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     status = STATUS_MAX_ITER
     for _ in range(MAX_OUTER_ITERS):
         surr = build_surrogate(z, zf, params)
-        z_new, kkt = sca_step(surr, zf, params, qos)
+        z_new, kkt = sca_step(surr, zf, params, qos, fixed)
         report.inner_reports.append(kkt)
         report.outer_iterations += 1
 
         truth = fractional_objective(z_new, zf, params)
         if surrogate_value(surr, z_new, zf, params) > truth + _MINORANT_TOL * max(1.0, abs(truth)):
             report.minorant_violations += 1
+        # The model is tight to first order at z, so z_new - z is an ascent
+        # direction of F; both ends lie in the convex model set, so the whole
+        # segment is feasible. Halve the step until F does not fall.
+        step = z_new - z
+        halvings = 0
+        while truth < f and halvings < MAX_HALVINGS:
+            halvings += 1
+            z_new = z + 0.5**halvings * step
+            truth = fractional_objective(z_new, zf, params)
+        report.backtracks += halvings
+        if truth < f:
+            z_new, truth = surr.expansion, f
 
         ee_new = energy_efficiency(z_new * z_new, zf, params)
         report.ee_trajectory.append(ee_new)
@@ -270,7 +338,7 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
             status = STATUS_CONVERGED if kkt.status == STATUS_CONVERGED else STATUS_MAX_ITER
             z = z_new
             break
-        z, ee = z_new, ee_new
+        z, ee, f = z_new, ee_new, truth
 
     if report.ascent_violations > 0:
         status = STATUS_ASCENT_FLAG

@@ -1,0 +1,51 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("audit_rows", ROOT / "tools" / "audit_rows.py")
+audit_rows = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(audit_rows)
+
+
+def _row(scheme, ee, status, iters="3"):
+    return {"scheme": scheme, "ee_bits_per_joule": ee, "sum_se": "1.5", "iters": iters, "status": status}
+
+
+def _keyed(*rows):
+    return {(1, row["scheme"], "8", "2", "0.2", "1.0", "7"): row for row in rows}
+
+
+def test_compare_flags_rows_that_newly_fail():
+    parent = _keyed(_row("ipce", "100.0", "converged"), _row("pce", "90.0", "converged"))
+    change = _keyed(_row("ipce", "nan", "error:NonConcaveObjectiveError"), _row("pce", "90.0", "converged"))
+    lines, failed = audit_rows.compare(parent, change)
+    assert failed
+    assert "status transitions: converged -> error:NonConcaveObjectiveError: 1" in lines
+    assert "rows newly NaN, error:* or infeasible: 1" in lines
+
+
+def test_compare_reports_status_changes_and_largest_changes():
+    parent = _keyed(_row("ipce", "100.0", "ascent-flag", iters="5"))
+    change = _keyed(_row("ipce", "100.001", "converged", iters="4"))
+    lines, failed = audit_rows.compare(parent, change)
+    assert not failed
+    assert "status transitions: ascent-flag -> converged: 1" in lines
+    assert any(line.startswith("largest relative EE change, ipce: 1.000e-05 (unchanged status 0.000e+00")
+               for line in lines)
+    assert "iteration changes: 1 rows, net -1, from -1 to -1" in lines
+
+
+def test_row_missing_on_one_side_fails():
+    parent = _keyed(_row("ipce", "100.0", "converged"))
+    _, failed = audit_rows.compare(parent, {})
+    assert failed
+
+
+def test_a_tree_against_itself_is_identical(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("m_list = 8\nk = 2\nrho_f_w_list = 0.2\nn_mc = 200\nn_topologies = 1\n")
+    code = audit_rows.main([str(ROOT), str(ROOT), "--command", "sweep-m", "--config", str(config),
+                            "--seeds", "5-6"])
+    out = capsys.readouterr().out
+    assert code == audit_rows.EXIT_OK
+    assert "rows compared: 6, differing: 0" in out

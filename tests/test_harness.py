@@ -224,18 +224,28 @@ class TestSweeps:
         rows = sweep_rho_f(config)
         assert all(r.status == "converged" for r in rows)
 
-    def test_warm_start_clears_ascent_flags_on_benchmark_seed(self):
+    @staticmethod
+    def _benchmark_seed_instance():
         # The sweep_rhof benchmark op at master seed 300042: cold solves at
-        # 1.2-2.2 W end `ascent-flag` after a step that lowered the true EE.
+        # 1.2-2.2 W take SCA steps that lower the true EE unless halved.
         config = ExperimentConfig(m_list=[100], k=16, rho_f_w_list=[round(0.2 * i, 1) for i in range(1, 12)],
                                   qos="1.0", n_mc=400, n_topologies=1, master_seed=300042)
-        instance = build_instance(config, 100, run_seed(config, 0))
+        return config, build_instance(config, 100, run_seed(config, 0))
+
+    def test_warm_start_clears_ascent_flags_on_benchmark_seed(self):
+        config, instance = self._benchmark_seed_instance()
         warm, statuses = None, []
         for rho in config.rho_f_w_list:
             ipce = next(r for r in run_point(config, instance, rho, warm=warm) if r.scheme == "ipce")
             statuses.append(ipce.status)
             warm = (rho, ipce.eta)
         assert statuses == ["converged"] * len(config.rho_f_w_list)
+
+    def test_cold_solves_converge_on_benchmark_seed(self):
+        config, instance = self._benchmark_seed_instance()
+        powers = [rho for rho in config.rho_f_w_list if rho >= 1.2]
+        statuses = [next(r for r in run_point(config, instance, rho) if r.scheme == "ipce").status for rho in powers]
+        assert statuses == ["converged"] * 6
 
     def test_aggregate_counts_infeasible(self):
         config = tiny_config(qos="50.0", schemes=("equal", "pce"), n_topologies=1)

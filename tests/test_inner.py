@@ -6,6 +6,8 @@ from scipy.optimize import linprog, minimize
 
 from conftest import build_instance
 
+from cellfree_ee import dinkelbach, inner, sca
+from cellfree_ee.harness import ExperimentConfig, build_instance as build_harness_instance, run_point, run_seed
 from cellfree_ee.inner import (
     ConstraintSet,
     InfeasibleStartError,
@@ -21,8 +23,129 @@ from cellfree_ee.power import (
     make_power_params,
     per_user_rate,
 )
-from cellfree_ee.reports import STATUS_CONVERGED
+from cellfree_ee.reports import STATUS_CONVERGED, STATUS_MAX_ITER, KktReport
 from cellfree_ee.sca import solve_ipce
+
+
+def reference_solve_inner(objective, constraints, start, tol=inner.DEFAULT_TOL):
+    """solve_inner's iteration written out plainly, kept as an oracle.
+
+    Same rules and constants, but the objective's Hessian is a full matrix,
+    the Newton matrix is formed by subtracting matrices, the step comes from
+    the Cholesky factor by two solves, and slacks (as -residuals) and the
+    barrier's sum log s are recomputed afresh each step.
+    """
+    value, gradient, hessian = objective
+    start = np.asarray(start, dtype=float)
+    x = start.copy()
+    m = len(constraints)
+    s = -constraints.residuals(x)
+    if np.min(s) <= 0.0:
+        raise InfeasibleStartError(f"start violates a constraint by {float(np.max(-s)):.3e}")
+    quad = constraints.quad
+    lam = 1.0 / s
+    mu = 1.0
+    mu_min = tol / (10.0 * m)
+    f_start = f_x = value(x)
+    iterations = 0
+    while True:
+        rows = constraints.row_grads(x)
+        grad_f = gradient(x)
+        stationarity = float(np.max(np.abs(grad_f - rows.T @ lam)))
+        comp = lam * s
+        converged = stationarity <= tol and float(np.sum(comp)) <= tol * (1 + 1e-12)
+        if converged or iterations == inner._MAX_ITERS:
+            break
+        while mu > mu_min and max(stationarity, float(np.max(np.abs(comp - mu)))) <= inner._MU_TARGET * mu:
+            mu = max(mu_min, inner._MU_DECREASE * mu)
+        hess_obj = hessian(x)
+        hess_phi = hess_obj - np.diag(2.0 * (quad.T @ lam)) - (rows * (lam / s)[:, None]).T @ rows
+        grad_phi = grad_f - mu * (rows.T @ (1.0 / s))
+        neg_h = -hess_phi
+        ridge = 0.0
+        scale = max(float(np.trace(neg_h)) / neg_h.shape[0], 1e-12)
+        for _ in range(12):
+            try:
+                chol = np.linalg.cholesky(neg_h + ridge * np.eye(neg_h.shape[0]))
+                step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad_phi))
+                break
+            except np.linalg.LinAlgError:
+                ridge = max(ridge * 10.0, 1e-14 * scale)
+        else:
+            raise NonConcaveObjectiveError("Newton matrix could not be factored")
+        curv = float(step @ hess_obj @ step)
+        if curv > 1e-8 * float(step @ step) * max(1.0, abs(f_x)):
+            raise NonConcaveObjectiveError(f"objective curvature {curv:.3e} > 0 along the Newton step")
+        slope = float(grad_phi @ step)
+        if slope <= 0.0 or not np.isfinite(slope):
+            break
+        lin_step = rows @ step
+        d_lam = mu / s - lam + lam * lin_step / s
+        tau = max(0.99, 1.0 - mu)
+        reserve = tau * s
+        denom = lin_step + np.sqrt(lin_step * lin_step + 4.0 * (quad @ (step * step)) * reserve)
+        limiting = denom > 0.0
+        alpha = min(1.0, float(np.min(2.0 * reserve[limiting] / denom[limiting], initial=np.inf)))
+        shrinking = d_lam < 0.0
+        alpha_dual = min(1.0, float(np.min(-tau * lam[shrinking] / d_lam[shrinking], initial=np.inf)))
+        phi = f_x + mu * float(np.sum(np.log(s)))
+        for _ in range(inner._MAX_BACKTRACKS):
+            x_new = x + alpha * step
+            s_new = -constraints.residuals(x_new)
+            if np.min(s_new) > 0.0:
+                f_new = value(x_new)
+                if f_new + mu * float(np.sum(np.log(s_new))) >= phi + inner._ARMIJO_SLOPE * alpha * slope:
+                    break
+            alpha *= inner._BACKTRACK
+        else:
+            break
+        x, s, f_x = x_new, s_new, f_new
+        lam = lam + alpha_dual * d_lam
+        iterations += 1
+    if converged and f_x < f_start - tol * max(1.0, abs(f_start)):
+        raise NonConcaveObjectiveError("objective decreased along the interior path; check concavity")
+    report = KktReport(
+        objective=float(max(f_x, f_start)),
+        stationarity=stationarity,
+        max_violation=float(max(np.max(-s), 0.0)),
+        comp_slackness=float(np.sum(comp)),
+        iterations=iterations,
+        status=STATUS_CONVERGED if converged else STATUS_MAX_ITER,
+        multipliers=lam,
+    )
+    if f_x < f_start:
+        return start.copy(), report
+    return inner._clip_zeros(x, constraints), report
+
+
+def assert_matches_reference(objective, constraints, start, tol=inner.DEFAULT_TOL):
+    """solve_inner against the reference loop on identical inputs.
+
+    Both loops do the same mathematics in a different floating-point order.
+    The first Newton matrix, with duals 1/s at the start, has a condition
+    number above 1/s_min^2; when that number times machine epsilon exceeds
+    1e-3 (a start within about 1e-8 of a row, as a Dinkelbach fallback that
+    restarts from the last fallback's optimum is), the first step carries
+    more roundoff than the 1% fraction-to-boundary margin in either loop, the
+    paths part, and both results are only optimal to the KKT tolerance. Then
+    the statuses must agree and the objectives within tol. Otherwise the
+    statuses must agree, x within 1e-7 relative and the objective within 1e-9
+    relative. Returns (strict, iterations, reference iterations).
+    """
+    x, report = solve_inner(objective, constraints, start, tol=tol)
+    value, gradient, hessian = objective
+    x_ref, ref = reference_solve_inner((value, gradient, lambda v: np.diag(hessian(v))), constraints, start, tol)
+    assert report.status == ref.status
+    s = -constraints.residuals(start)
+    rows = constraints.row_grads(start)
+    first = (rows / (s * s)[:, None]).T @ rows + np.diag(2.0 * (constraints.quad.T @ (1.0 / s)) - hessian(start))
+    strict = np.linalg.cond(first) * np.finfo(float).eps <= 1e-3
+    if strict:
+        assert np.max(np.abs(x - x_ref)) <= 1e-7 * np.max(np.abs(x_ref))
+        assert abs(report.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+    else:
+        assert abs(report.objective - ref.objective) <= tol * max(1.0, abs(ref.objective))
+    return strict, report.iterations, ref.iterations
 
 
 def box_constraints(n, lo=0.0, hi=1.0):
@@ -35,7 +158,7 @@ def quadratic_objective(center):
     return (
         lambda x: -float(np.sum((x - center) ** 2)),
         lambda x: -2.0 * (x - center),
-        lambda x: -2.0 * np.eye(center.size),
+        lambda x: np.full(center.size, -2.0),
     )
 
 
@@ -51,7 +174,7 @@ class TestSolveInner:
         objective = (
             lambda x: float(np.log(1 + 2 * x[0]) - x[0]),
             lambda x: np.array([2.0 / (1 + 2 * x[0]) - 1.0]),
-            lambda x: np.array([[-4.0 / (1 + 2 * x[0]) ** 2]]),
+            lambda x: np.array([-4.0 / (1 + 2 * x[0]) ** 2]),
         )
         x, report = solve_inner(objective, cs, np.array([0.1]))
         assert x[0] == pytest.approx(0.5, abs=2e-6)
@@ -59,7 +182,7 @@ class TestSolveInner:
 
     def test_active_constraint_multiplier(self):
         cs = ConstraintSet(np.zeros((2, 1)), np.array([[-1.0], [1.0]]), np.array([1.0, 0.3]))
-        objective = (lambda x: float(x[0]), lambda x: np.ones(1), lambda x: np.zeros((1, 1)))
+        objective = (lambda x: float(x[0]), lambda x: np.ones(1), lambda x: np.zeros(1))
         x, report = solve_inner(objective, cs, np.array([0.0]))
         assert x[0] == pytest.approx(0.3, abs=2e-6)
         assert report.multipliers[1] == pytest.approx(1.0, abs=1e-5)
@@ -96,7 +219,7 @@ class TestSolveInner:
         convex = (
             lambda x: float(np.sum(x**2)),
             lambda x: 2.0 * x,
-            lambda x: 2.0 * np.eye(2),
+            lambda x: np.full(2, 2.0),
         )
         with pytest.raises(NonConcaveObjectiveError):
             solve_inner(convex, box_constraints(2), np.full(2, 0.5))
@@ -129,7 +252,7 @@ def test_solve_inner_matches_slsqp(n, n_quad, n_lin, seed):
     objective = (
         lambda x: float(np.sum(w * np.log1p(c * x) - d * x - e * x * x)),
         lambda x: w * c / (1.0 + c * x) - d - 2.0 * e * x,
-        lambda x: np.diag(-w * c * c / (1.0 + c * x) ** 2 - 2.0 * e),
+        lambda x: -w * c * c / (1.0 + c * x) ** 2 - 2.0 * e,
     )
 
     x, report = solve_inner(objective, cs, start)
@@ -138,6 +261,7 @@ def test_solve_inner_matches_slsqp(n, n_quad, n_lin, seed):
     assert report.stationarity <= 1e-6 and report.comp_slackness <= 1e-6
     assert np.all(report.multipliers > 0.0)
     assert objective[0](x) >= objective[0](start)
+    assert_matches_reference(objective, cs, start)
 
     oracle = minimize(
         lambda y: -objective[0](y),
@@ -152,6 +276,47 @@ def test_solve_inner_matches_slsqp(n, n_quad, n_lin, seed):
     assert np.max(cs.residuals(oracle.x)) <= 1e-6
     best = -oracle.fun
     assert abs(objective[0](x) - best) <= 1e-6 * max(1.0, abs(best))
+
+
+def _captured_subproblems(config, m, powers):
+    """Every (objective, constraints, start, tol) that the IPCE and PCE solves
+    of cold run_point calls hand to solve_inner on one instance."""
+    instance = build_harness_instance(config, m, run_seed(config, 0))
+    captured = []
+
+    def record(objective, constraints, start, tol=inner.DEFAULT_TOL):
+        captured.append((objective, constraints, np.array(start, dtype=float), tol))
+        return solve_inner(objective, constraints, start, tol=tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sca, "solve_inner", record)
+        patch.setattr(dinkelbach, "solve_inner", record)
+        for rho_f_w in powers:
+            run_point(config, instance, rho_f_w)
+    return captured
+
+
+@pytest.mark.parametrize(
+    "config, m, powers",
+    [
+        # sweep_rhof (M=100, K=16); at 0.01 W the water level breaks a per-AP
+        # row, so the Dinkelbach fallback runs too.
+        (ExperimentConfig(m_list=[100], k=16, rho_f_w_list=[0.2], qos="1.0", n_mc=400, n_topologies=1,
+                          master_seed=300000), 100, (0.01, 0.2, 1.0, 2.2)),
+        # solver_k2 (K=2, equal-power-rate floors), where the fallback runs at 0.2 W.
+        (ExperimentConfig(m_list=[8, 12, 16], k=2, rho_f_w_list=[0.2], n_mc=1500, n_topologies=1,
+                          master_seed=300001), 12, (0.2,)),
+    ],
+    ids=["sweep_rhof", "solver_k2"],
+)
+def test_captured_subproblems_match_reference(config, m, powers):
+    captured = _captured_subproblems(config, m, powers)
+    is_sca = [objective[0].__qualname__.startswith("concave_model") for objective, *_ in captured]
+    assert any(is_sca) and not all(is_sca)  # both solvers' subproblems are there
+    for sca_model, (objective, constraints, start, tol) in zip(is_sca, captured):
+        strict, _, _ = assert_matches_reference(objective, constraints, start, tol)
+        # Every SCA model solve captured here is well conditioned at its start.
+        assert strict or not sca_model
 
 
 def _zf_for_feasibility(theta_scale=1e9, gamma_level=0.1, m=4, k=1, seed=0):
