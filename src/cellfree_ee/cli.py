@@ -5,18 +5,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    comma_list,
     rows_to_csv,
     run_topology,
     sweep_m,
     sweep_rho_f,
     write_outputs,
 )
-from .reports import STATUS_INFEASIBLE
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -49,7 +47,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config.master_seed = args.seed
     if args.schemes is not None:
-        config.schemes = tuple(part.strip() for part in args.schemes.split(",") if part.strip())
+        config.schemes = tuple(comma_list(args.schemes))
     if args.topologies is not None:
         config.n_topologies = args.topologies
     if args.mc is not None:
@@ -79,9 +77,7 @@ def main(argv=None) -> int:
         sys.stdout.write(rows_to_csv(rows))
 
     optimized = [r for r in rows if r.scheme != "equal"]
-    if optimized and all(
-        r.status == STATUS_INFEASIBLE or not np.isfinite(r.ee_bits_per_joule) for r in optimized
-    ):
+    if optimized and all(r.failed for r in optimized):
         return EXIT_ALL_INFEASIBLE
     return EXIT_OK
 

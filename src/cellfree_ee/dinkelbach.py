@@ -10,7 +10,6 @@ the achieved ratio, and stop when the parametric gap closes.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -53,7 +52,6 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
 
     Returns (PowerAllocation or None, SolveReport).
     """
-    t0 = time.perf_counter()
     zf0 = dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))
     report = SolveReport()
 
@@ -68,7 +66,6 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     start = _minimal_power_start(theta_hat, np.zeros((k, k)), lower)
     if start is None:
         report.status = STATUS_INFEASIBLE
-        report.wall_time_s = time.perf_counter() - t0
         return None, report
 
     prelog = params.prelog
@@ -147,7 +144,6 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
             break
 
     report.status = status
-    report.wall_time_s = time.perf_counter() - t0
     return PowerAllocation(eta=eta_scale * v), report
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .power import (
     per_user_rate,
 )
 from .propagation import generate_topology, large_scale_fading, mmse_stats
-from .reports import STATUS_CONVERGED, STATUS_ERROR, STATUS_INFEASIBLE
+from .reports import STATUS_CONVERGED, STATUS_ERROR
 from .sca import solve_ipce
 from .zfstats import SingularChannelError, ZfStatistics, estimate_zf_statistics
 
@@ -52,14 +51,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Sweep definition plus the frozen physical and power-model constants."""
 
-    m_list: list = field(default_factory=lambda: [20, 40, 60, 80, 100, 120])
+    m_list: list[int] = field(default_factory=lambda: [20, 40, 60, 80, 100, 120])
     k: int = 16
     area_side_km: float = 1.0
     sigma_shad_db: float = 8.0
     d_min_km: float = 0.01
     tau: int = 200
     tau_u: str = "K"  # "K" or a fixed sample count
-    rho_f_w_list: list = field(default_factory=lambda: [0.2])
+    rho_f_w_list: list[float] = field(default_factory=lambda: [0.2])
     rho_r_w: float = 0.1
     qos: str = QOS_EQUAL_POWER_RATE  # rule name, scalar, or comma list
     bandwidth_hz: float = 20e6
@@ -72,8 +71,7 @@ class ExperimentConfig:
     n_topologies: int = 30
     n_mc: int = 1000
     master_seed: int = 1
-    schemes: tuple = ALL_SCHEMES
-    record_timings: bool = False  # keep False for byte-identical reruns
+    schemes: tuple[str, ...] = ALL_SCHEMES
 
     def validate(self) -> None:
         if not self.m_list:
@@ -127,30 +125,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        parsers = {
-            "m_list": _int_list,
-            "k": int,
-            "area_side_km": float,
-            "sigma_shad_db": float,
-            "d_min_km": float,
-            "tau": int,
-            "tau_u": str,
-            "rho_f_w_list": _float_list,
-            "rho_r_w": float,
-            "qos": str,
-            "bandwidth_hz": float,
-            "noise_figure_db": float,
-            "drain_efficiency": float,
-            "p_cir_w": float,
-            "p_cm_w": float,
-            "p_0m_w": float,
-            "p_bt_w_per_gbps": float,
-            "n_topologies": int,
-            "n_mc": int,
-            "master_seed": int,
-            "schemes": _scheme_tuple,
-            "record_timings": _bool,
-        }
+        """Read `key = value` lines; each key is a field, parsed by its annotation."""
+        parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls)}
         config = cls()
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -164,33 +140,26 @@ class ExperimentConfig:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
                     setattr(config, key, parsers[key](value))
-                except ConfigError:
-                    raise
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
         config.validate()
         return config
 
 
-def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
+def comma_list(text: str, item=str) -> list:
+    """The nonempty entries of a comma list, stripped and converted by item."""
+    return [item(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _scheme_tuple(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+# Config value parser by the annotation of its ExperimentConfig field.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[int]": lambda text: comma_list(text, int),
+    "list[float]": lambda text: comma_list(text, float),
+    "tuple[str, ...]": lambda text: tuple(comma_list(text)),
+}
 
 
 @dataclass(frozen=True)
@@ -205,10 +174,14 @@ class ResultRow:
     sum_se: float
     iters: int
     status: str
-    wall_ms: float
     # Power coefficients behind the row, None when the solve gave none; not
     # written to the CSV and not compared.
     eta: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def failed(self) -> bool:
+        """Infeasible and error rows carry a NaN EE; every other row a finite one."""
+        return not np.isfinite(self.ee_bits_per_joule)
 
 
 def run_seed(config: ExperimentConfig, topology_index: int) -> int:
@@ -289,7 +262,6 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm
     zf_perfect = dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))
     rows = []
     for scheme in config.schemes:
-        t0 = time.perf_counter()
         if scheme == "equal":
             alloc = equal
             ee = energy_efficiency(equal.eta, zf, params)
@@ -308,11 +280,9 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm
             ee, sum_se = _scheme_metrics(alloc, zf_perfect if scheme == "pce" else zf, params)
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
-        wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append(
             _row(config, m, rho_f_w, instance.seed, scheme, ee_bits_per_joule=ee, sum_se=sum_se, iters=iters,
-                 status=status, wall_ms=wall_ms if config.record_timings else 0.0,
-                 eta=None if alloc is None else alloc.eta)
+                 status=status, eta=None if alloc is None else alloc.eta)
         )
     return rows
 
@@ -367,7 +337,7 @@ def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_li
         status = f"{STATUS_ERROR}:{type(exc).__name__}"
         nan = float("nan")
         return [
-            _row(config, m, rho, seed, scheme, ee_bits_per_joule=nan, sum_se=nan, iters=0, status=status, wall_ms=0.0)
+            _row(config, m, rho, seed, scheme, ee_bits_per_joule=nan, sum_se=nan, iters=0, status=status)
             for rho in rho_f_list
             for scheme in config.schemes
         ]
@@ -403,7 +373,7 @@ def rows_to_csv(rows: list) -> str:
                 _fmt(r.sum_se),
                 r.iters,
                 r.status,
-                _fmt(r.wall_ms),
+                "0",  # wall_ms, kept for the stable schema
             ]
         )
     return buffer.getvalue()
@@ -419,7 +389,7 @@ def aggregate_rows(rows: list) -> str:
         groups.setdefault((r.m, r.rho_f_w, r.scheme), []).append(r)
     for (m, rho_f_w, scheme) in sorted(groups):
         members = groups[(m, rho_f_w, scheme)]
-        solved = [r for r in members if r.status != STATUS_INFEASIBLE and np.isfinite(r.ee_bits_per_joule)]
+        solved = [r for r in members if not r.failed]
         n_failed = len(members) - len(solved)
         ee = np.array([r.ee_bits_per_joule for r in solved])
         se = np.array([r.sum_se for r in solved])

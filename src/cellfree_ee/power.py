@@ -181,7 +181,6 @@ class FeasibilityReport:
     feasible: bool
     qos_margin: np.ndarray  # (K,), r_k - r_bar_k
     ap_margin: np.ndarray  # (M,), 1 - (theta @ eta)_m
-    eta_min: float
     violations: list
 
     def __bool__(self) -> bool:
@@ -210,6 +209,5 @@ def check_feasibility(
         feasible=not violations,
         qos_margin=qos_margin,
         ap_margin=ap_margin,
-        eta_min=float(eta.min()) if eta.size else 0.0,
         violations=violations,
     )

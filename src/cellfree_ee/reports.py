@@ -37,7 +37,6 @@ class SolveReport:
     outer_iterations: int = 0
     inner_reports: list = field(default_factory=list)
     status: str = STATUS_MAX_ITER
-    wall_time_s: float = 0.0
     minorant_violations: int = 0
     ascent_violations: int = 0
     backtracks: int = 0  # step halvings of the SCA iteration; 0 for Dinkelbach

@@ -31,7 +31,6 @@ F < 1 and stays the absolute one (which is then tighter) elsewhere.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,13 +281,11 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
 
     Returns (PowerAllocation or None, SolveReport).
     """
-    t0 = time.perf_counter()
     report = SolveReport()
 
     start = feasible_point(zf, params, qos)
     if start is None:
         report.status = STATUS_INFEASIBLE
-        report.wall_time_s = time.perf_counter() - t0
         return None, report
     eta0 = start.eta
     if warm is not None and check_feasibility(warm, zf, params, qos, tol=0.0).feasible:
@@ -343,5 +340,4 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     if report.ascent_violations > 0:
         status = STATUS_ASCENT_FLAG
     report.status = status
-    report.wall_time_s = time.perf_counter() - t0
     return PowerAllocation(eta=best_z * best_z), report

@@ -49,3 +49,4 @@ def test_a_tree_against_itself_is_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == audit_rows.EXIT_OK
     assert "rows compared: 6, differing: 0" in out
+    assert "byte-identical CSV and _agg.csv: 2 of 2 seeds" in out

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,23 +59,54 @@ class TestConfig:
             tiny_config(qos="fast").validate()
 
     def test_file_round_trip(self, tmp_path):
+        # Every field set away from its default, so every annotation's parser runs.
+        lines = {
+            "m_list": ("12, 16", [12, 16]),
+            "k": ("3", 3),
+            "area_side_km": ("2.0", 2.0),
+            "sigma_shad_db": ("6.0", 6.0),
+            "d_min_km": ("0.02", 0.02),
+            "tau": ("150", 150),
+            "tau_u": ("8", "8"),
+            "rho_f_w_list": ("0.1, 0.3", [0.1, 0.3]),
+            "rho_r_w": ("0.05", 0.05),
+            "qos": ("0.5", "0.5"),
+            "bandwidth_hz": ("10e6", 10e6),
+            "noise_figure_db": ("7.0", 7.0),
+            "drain_efficiency": ("0.3", 0.3),
+            "p_cir_w": ("8.0", 8.0),
+            "p_cm_w": ("0.1", 0.1),
+            "p_0m_w": ("0.3", 0.3),
+            "p_bt_w_per_gbps": ("0.5", 0.5),
+            "n_topologies": ("1", 1),
+            "n_mc": ("100", 100),
+            "master_seed": ("5", 5),
+            "schemes": ("equal,pce", ("equal", "pce")),
+        }
+        fields = dataclasses.fields(ExperimentConfig)
+        assert sorted(lines) == sorted(f.name for f in fields)
+        default = ExperimentConfig()
+        assert all(value != getattr(default, key) for key, (_, value) in lines.items())
         path = tmp_path / "sweep.cfg"
-        path.write_text(
-            "# comment line\n"
-            "m_list = 12, 16\n"
-            "k = 3\n"
-            "rho_f_w_list = 0.2\n"
-            "qos = 0.5\n"
-            "n_topologies = 1\n"
-            "n_mc = 100\n"
-            "schemes = equal,pce\n"
-            "master_seed = 5\n",
-            encoding="utf-8",
-        )
+        text = "# comment line\n" + "".join(f"{key} = {raw}  # set\n" for key, (raw, _) in lines.items())
+        path.write_text(text, encoding="utf-8")
         config = ExperimentConfig.from_file(path)
-        assert config.m_list == [12, 16]
-        assert config.schemes == ("equal", "pce")
-        assert config.master_seed == 5
+        for key, (_, value) in lines.items():
+            assert getattr(config, key) == value, key
+            assert type(getattr(config, key)) is type(value), key
+
+    def test_readme_config_block_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config files", 1)[1]
+        block = section.split("```", 2)[1]
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+        assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+    def test_record_timings_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("record_timings = true\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown key 'record_timings'"):
+            ExperimentConfig.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

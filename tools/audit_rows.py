@@ -9,11 +9,13 @@ for every master seed S of the range, in one subprocess per tree with
 PYTHONPATH=<tree>/src and one BLAS thread; the two subprocesses run side by
 side. The config file is only read. Rows are matched on (master seed, scheme,
 M, K, rho_f_w, qos_rule, seed) and compared on EE, sum SE, iterations and
-status; wall time is ignored. The report lists the rows that differ, the
+status; `wall_ms` is ignored. The report lists the rows that differ, the
 status transitions with counts, the largest relative EE change per scheme
 (over all rows, and over rows whose status is unchanged) with the largest
 fall, the iteration changes, and every row that newly became NaN, `error:*`
-or `infeasible`.
+or `infeasible`. A last line counts the master seeds whose CSV and `_agg.csv`
+files are byte-identical between the trees; the row comparison alone misses
+a change in `wall_ms` or in the aggregate file.
 
 Exit codes: 0 no row newly bad, 1 some row newly bad or a row missing on one
 side, 2 usage error or a tree's run failed.
@@ -68,6 +70,15 @@ def read_rows(out_dir: Path, seeds: list) -> dict:
             for row in csv.DictReader(handle):
                 rows[(seed,) + tuple(row[f] for f in KEY_FIELDS)] = row
     return rows
+
+
+def identical_seeds(parent_dir: Path, change_dir: Path, seeds: list) -> int:
+    """How many master seeds gave byte-identical CSV and _agg.csv files in both trees."""
+    return sum(
+        all((parent_dir / name).read_bytes() == (change_dir / name).read_bytes()
+            for name in (f"{seed}.csv", f"{seed}_agg.csv"))
+        for seed in seeds
+    )
 
 
 def is_bad(row: dict) -> bool:
@@ -165,10 +176,12 @@ def main(argv=None) -> int:
             print(f"error: a tree's run failed (exit codes {codes})", file=sys.stderr)
             return EXIT_USAGE
         parent, change = (read_rows(out, seeds) for out in out_dirs)
+        identical = identical_seeds(*out_dirs, seeds)
 
     lines, failed = compare(parent, change)
     print(f"{args.command} {config.name} master seeds {seeds[0]}-{seeds[-1]}")
     print("\n".join(lines))
+    print(f"byte-identical CSV and _agg.csv: {identical} of {len(seeds)} seeds")
     return EXIT_NEW_BAD_ROWS if failed else EXIT_OK
 
 
