@@ -120,11 +120,13 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
                     np.vstack([theta_hat, -np.eye(k)]),
                     np.concatenate([np.ones(theta.shape[0]), -lower]),
                 )
-            # zero-clipped coordinates sit just below the interior floor; lift them
-            warm = np.maximum(v, lower + 1e-12)
-            if np.max(constraints.residuals(warm)) >= 0.0:
-                warm = start  # the lift crossed a per-AP row: floors within 1e-12 of full load
-            v, kkt = solve_inner(subproblem(lam_hat), constraints, warm, tol=INNER_TOL)
+            # Each fallback starts from the interior point, not from the previous
+            # optimum next to a binding row; that iterate (value 0 here) is kept
+            # when the solve, exact only to tolerance, ends below it.
+            objective = subproblem(lam_hat)
+            v_new, kkt = solve_inner(objective, constraints, start, tol=INNER_TOL)
+            if objective[0](v_new) >= objective[0](v):
+                v = v_new
             report.inner_reports.append(kkt)
             step_solved = kkt.status == STATUS_CONVERGED
         report.outer_iterations += 1

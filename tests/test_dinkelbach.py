@@ -10,6 +10,7 @@ from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
 
 from cellfree_ee import dinkelbach
 from cellfree_ee.dinkelbach import solve_pce
+from cellfree_ee.harness import ExperimentConfig, build_instance as build_harness_instance, run_point, run_seed
 from cellfree_ee.inner import NonConcaveObjectiveError
 from cellfree_ee.power import (
     QosSpec,
@@ -162,6 +163,28 @@ def test_fallback_converges_with_floors_near_full_load(load):
     assert report.inner_reports
     assert all(kkt.status == STATUS_CONVERGED for kkt in report.inner_reports)
     assert check_feasibility(alloc.eta, perfect_view(zf), params, qos).feasible
+
+
+def test_every_fallback_starts_well_inside():
+    # solver_k2 benchmark op, master seed 300001, M=12 at 0.2 W: three
+    # Dinkelbach steps fall back to the interior-point solver. A restart
+    # from the previous fallback's optimum sits within about 1e-8 of its
+    # binding per-AP row, where the first Newton matrix is roundoff noise.
+    config = ExperimentConfig(m_list=[8, 12, 16], k=2, rho_f_w_list=[0.2], n_mc=1500, n_topologies=1,
+                              master_seed=300001, schemes=("pce",))
+    instance = build_harness_instance(config, 12, run_seed(config, 0))
+    slacks = []
+    solve = dinkelbach.solve_inner
+
+    def spy(objective, constraints, start, tol):
+        slacks.append(float(constraints.slacks(start).min()))
+        return solve(objective, constraints, start, tol=tol)
+
+    with mock.patch.object(dinkelbach, "solve_inner", spy):
+        (row,) = run_point(config, instance, 0.2)
+    assert row.status == STATUS_CONVERGED
+    assert len(slacks) >= 2
+    assert min(slacks) >= 1e-3
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

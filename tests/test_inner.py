@@ -124,8 +124,7 @@ def assert_matches_reference(objective, constraints, start, tol=inner.DEFAULT_TO
     Both loops do the same mathematics in a different floating-point order.
     The first Newton matrix, with duals 1/s at the start, has a condition
     number above 1/s_min^2; when that number times machine epsilon exceeds
-    1e-3 (a start within about 1e-8 of a row, as a Dinkelbach fallback that
-    restarts from the last fallback's optimum is), the first step carries
+    1e-3 (a start within about 1e-8 of a row), the first step carries
     more roundoff than the 1% fraction-to-boundary margin in either loop, the
     paths part, and both results are only optimal to the KKT tolerance. Then
     the statuses must agree and the objectives within tol. Otherwise the
@@ -313,10 +312,11 @@ def test_captured_subproblems_match_reference(config, m, powers):
     captured = _captured_subproblems(config, m, powers)
     is_sca = [objective[0].__qualname__.startswith("concave_model") for objective, *_ in captured]
     assert any(is_sca) and not all(is_sca)  # both solvers' subproblems are there
-    for sca_model, (objective, constraints, start, tol) in zip(is_sca, captured):
+    for objective, constraints, start, tol in captured:
         strict, _, _ = assert_matches_reference(objective, constraints, start, tol)
-        # Every SCA model solve captured here is well conditioned at its start.
-        assert strict or not sca_model
+        # Every solve captured here is well conditioned at its start; the
+        # Dinkelbach fallbacks start from the closed-form interior point.
+        assert strict
 
 
 def _zf_for_feasibility(theta_scale=1e9, gamma_level=0.1, m=4, k=1, seed=0):
