@@ -315,3 +315,29 @@ def test_warm_point_violating_a_row_falls_back_to_the_cold_start(small_instance)
     warm, warm_report = solve_ipce(zf, params, qos, warm=overloaded)
     assert np.array_equal(warm.eta, cold.eta)
     assert warm_report.ee_trajectory == cold_report.ee_trajectory
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    fraction=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_ap_permutation_leaves_the_solves_unchanged(k, extra_aps, seed, p_tx_watts, fraction):
+    # Reordering the APs reorders the rows of theta and nothing else (every
+    # per-AP power constant is the same), so both solvers must find the same
+    # status and, up to roundoff in the sums over APs, the same EE.
+    m = k + extra_aps
+    _, _, zf, params = build_instance(m, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    qos = loose_qos(zf, params, fraction)
+    order = np.random.default_rng(seed).permutation(m)
+    permuted = dataclasses.replace(zf, theta=zf.theta[order])
+    for solve, view in ((solve_pce, perfect_view), (solve_ipce, lambda z: z)):
+        alloc, report = solve(zf, params, qos)
+        alloc_p, report_p = solve(permuted, params, qos)
+        assert report_p.status == report.status
+        if alloc is not None:
+            ee = energy_efficiency(alloc.eta, view(zf), params)
+            assert energy_efficiency(alloc_p.eta, view(permuted), params) == pytest.approx(ee, rel=1e-7)
