@@ -9,7 +9,6 @@ import numpy as np
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max-iter"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_ASCENT_FLAG = "ascent-flag"
 # Prefix of a run row whose solve raised; the exception name follows the colon.
 STATUS_ERROR = "error"
 
@@ -38,5 +37,10 @@ class SolveReport:
     inner_reports: list = field(default_factory=list)
     status: str = STATUS_MAX_ITER
     minorant_violations: int = 0
-    ascent_violations: int = 0
     backtracks: int = 0  # step halvings of the SCA iteration; 0 for Dinkelbach
+
+    @property
+    def ascent_violations(self) -> int:
+        """Steps of ee_trajectory that fell by more than 1e-8 relative."""
+        traj = self.ee_trajectory
+        return sum(new < old * (1.0 - 1e-8) for old, new in zip(traj, traj[1:]))

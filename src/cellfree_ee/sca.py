@@ -20,9 +20,9 @@ tangent of the quadratic-over-linear z_j^2/t at t = z_k^2 is a lower bound.
 A step can therefore overshoot; since the model's gradient matches F's at
 the expansion point, the step is still an ascent direction, and solve_ipce
 halves it along its segment until F does not fall (`SolveReport.backtracks`
-counts the halvings). `SolveReport.minorant_violations` counts the steps
-whose new point the as-written model overestimates, and `ascent_violations`
-the steps that lowered the true EE, which the halving keeps at 0.
+counts the halvings). The full EE increases with F, so it never falls
+either. `SolveReport.minorant_violations` counts the steps whose new point
+the as-written model overestimates.
 
 Each model solve runs in v = z / z_scale, with the model divided by
 min(1, F(z_bar)), so the inner solver's tolerance is relative to F wherever
@@ -45,13 +45,7 @@ from .power import (
     equal_power_allocation,
     reduced_power,
 )
-from .reports import (
-    STATUS_ASCENT_FLAG,
-    STATUS_CONVERGED,
-    STATUS_INFEASIBLE,
-    STATUS_MAX_ITER,
-    SolveReport,
-)
+from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER, SolveReport
 from .zfstats import ZfStatistics
 
 # Interior floor on the square-root coefficients, relative to the equal-power
@@ -69,7 +63,6 @@ MAX_HALVINGS = 30
 # keeps the blend strictly inside every row that the warm point satisfies.
 WARM_BLEND = 1e-3
 _MINORANT_TOL = 1e-9
-_ASCENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -229,8 +222,7 @@ def sca_step(
     model's value at its expansion point: INNER_TOL is then relative to F
     when F < 1, and the absolute tolerance, which is the tighter one, when
     F >= 1. fixed is model_rows(zf, params, qos), built here when not given.
-    Returns (z_new, KktReport); the expansion point is returned unchanged
-    when it is already optimal for its own model.
+    Returns (z_new, KktReport).
     """
     if fixed is None:
         fixed = model_rows(zf, params, qos)
@@ -246,11 +238,7 @@ def sca_step(
     # The model is tight at its expansion point, so its value there is F(z_bar) > 0.
     f_bar = float(np.log1p(surr.x_n).sum()) / surr.t_n
     objective = concave_model(surr, zf, params, z_scale=z_scale, f_scale=1.0 / min(1.0, f_bar))
-    value = objective[0]
-
     v_new, report = solve_inner(objective, constraints, v_bar, tol=INNER_TOL)
-    if value(v_new) <= value(v_bar) + 1e-12 * max(1.0, abs(value(v_bar))):
-        return surr.expansion, report
     return z_scale * v_new, report
 
 
@@ -259,16 +247,16 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
 
     Starts from the interior point of feasible_point, iterates build_surrogate
     and sca_step until the true energy efficiency stabilizes, and returns the
-    best-EE iterate with the full trajectory. The rows that do not follow the
+    last iterate with the full trajectory. The rows that do not follow the
     expansion point are built once (model_rows). When the model's maximizer
     lowers F, the step is halved along the segment from the current point,
     which stays in the convex model set, until F does not fall; after
-    MAX_HALVINGS halvings the iterate stays where it was, which ends the
-    iteration. The status is `converged` only when the EE change closed and
-    the last model solve converged, `max-iter` otherwise. A step that
-    decreases the true EE (beyond relative 1e-8) is recorded and flags the
-    report status instead; steps where the model overestimates the true
-    objective are counted as minorant violations.
+    MAX_HALVINGS halvings the iterate stays where it was, so the EE change is
+    0 and the iteration ends. F never falls, so neither does the EE and the
+    last iterate is the best. The status is `converged` only when the EE
+    change closed and the last model solve converged, `max-iter` otherwise.
+    Steps where the model overestimates the true objective are counted as
+    minorant violations.
 
     warm, optional, is a power-coefficient vector to start next to, such as
     the optimum at a smaller per-AP power cap scaled by the ratio of the caps
@@ -298,7 +286,6 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     ee = energy_efficiency(z * z, zf, params)
     report.ee_trajectory.append(ee)
     report.iterates.append(z * z)
-    best_z, best_ee = z, ee
 
     status = STATUS_MAX_ITER
     for _ in range(MAX_OUTER_ITERS):
@@ -326,18 +313,10 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
         ee_new = energy_efficiency(z_new * z_new, zf, params)
         report.ee_trajectory.append(ee_new)
         report.iterates.append(z_new * z_new)
-        if ee_new < ee * (1.0 - _ASCENT_TOL):
-            report.ascent_violations += 1
-        if ee_new > best_ee:
-            best_z, best_ee = z_new, ee_new
-
-        if z_new is surr.expansion or abs(ee_new - ee) <= EE_TOL * max(abs(ee), 1e-30):
+        if abs(ee_new - ee) <= EE_TOL * max(abs(ee), 1e-30):
             status = STATUS_CONVERGED if kkt.status == STATUS_CONVERGED else STATUS_MAX_ITER
-            z = z_new
             break
         z, ee, f = z_new, ee_new, truth
 
-    if report.ascent_violations > 0:
-        status = STATUS_ASCENT_FLAG
     report.status = status
-    return PowerAllocation(eta=best_z * best_z), report
+    return PowerAllocation(eta=report.iterates[-1]), report

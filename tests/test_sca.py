@@ -21,7 +21,7 @@ from cellfree_ee.power import (
     per_user_rate,
     reduced_power,
 )
-from cellfree_ee.reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER
+from cellfree_ee.reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER, SolveReport
 from cellfree_ee.sca import (
     build_surrogate,
     concave_model,
@@ -193,6 +193,13 @@ class TestSolveIpce:
         assert check_feasibility(alloc.eta, zf, params, qos).feasible
         assert report.outer_iterations <= 50
 
+    def test_returns_the_last_iterate(self, small_instance):
+        # F never falls, so the last iterate is the best one.
+        _, _, zf, params = small_instance
+        alloc, report = solve_ipce(zf, params, loose_qos(zf, params))
+        assert alloc.eta is report.iterates[-1]
+        assert report.ee_trajectory[-1] >= max(report.ee_trajectory) * (1.0 - 1e-12)
+
     def test_infeasible_floor_reported(self):
         _, _, zf, params = build_instance(6, 2, seed=4, n_mc=500)
         qos = QosSpec.from_floor(np.full(2, 1e3), params)
@@ -293,6 +300,12 @@ def test_ee_trajectory_never_falls(k, extra_aps, seed, p_tx_watts, fraction):
     trajectory = np.array(report.ee_trajectory)
     assert np.all(trajectory[1:] >= trajectory[:-1] * (1.0 - 1e-12))
     assert report.ascent_violations == 0
+
+
+def test_ascent_violations_count_falls_in_the_trajectory():
+    assert SolveReport(ee_trajectory=[1.0, 0.5, 0.6]).ascent_violations == 1
+    assert SolveReport(ee_trajectory=[1.0, 1.0 - 1e-9, 2.0]).ascent_violations == 0
+    assert SolveReport().ascent_violations == 0
 
 
 def test_model_solve_tolerance_is_relative_on_a_small_objective():
