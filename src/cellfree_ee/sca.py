@@ -40,7 +40,6 @@ from .power import (
     PowerAllocation,
     PowerParams,
     QosSpec,
-    check_feasibility,
     energy_efficiency,
     equal_power_allocation,
     reduced_power,
@@ -59,8 +58,9 @@ INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 # Halvings of a step that lowered F before the iterate stays where it was.
 MAX_HALVINGS = 30
-# Weight of the feasible_point start in a warm start: any positive weight
-# keeps the blend strictly inside every row that the warm point satisfies.
+# Weight of the feasible_point start in a warm start: the start is strictly
+# inside and the point it is blended with is on every row, so any positive
+# weight keeps the blend strictly inside.
 WARM_BLEND = 1e-3
 _MINORANT_TOL = 1e-9
 
@@ -261,11 +261,13 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     warm, optional, is a power-coefficient vector to start next to, such as
     the optimum at a smaller per-AP power cap scaled by the ratio of the caps
     (which keeps every SINR and lowers every AP load). feasible_point still
-    runs first, so an infeasible problem is still reported as such. When warm
-    satisfies every QoS and per-AP row, the start is the blend
-    (1 - WARM_BLEND) warm + WARM_BLEND feasible_point, which is strictly
-    inside; otherwise (say, floors that rose with the cap) the cold start is
-    used.
+    runs first, so an infeasible problem is still reported as such. With s
+    the feasible_point start and t in [0, 1] the largest step from s towards
+    warm that stays on every QoS, per-AP and sign row, the start is
+    (1 - WARM_BLEND) (t warm + (1 - t) s) + WARM_BLEND s, which is strictly
+    inside. When warm meets every row, t = 1 and the start is the blend
+    (1 - WARM_BLEND) warm + WARM_BLEND s; when floors rose with the cap, the
+    step stops where the first row binds. Without warm the start is s.
 
     Returns (PowerAllocation or None, SolveReport).
     """
@@ -275,9 +277,17 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     if start is None:
         report.status = STATUS_INFEASIBLE
         return None, report
-    eta0 = start.eta
-    if warm is not None and check_feasibility(warm, zf, params, qos, tol=0.0).feasible:
-        eta0 = (1.0 - WARM_BLEND) * warm + WARM_BLEND * start.eta
+    s = eta0 = start.eta
+    if warm is not None:
+        # t: the largest step from s towards warm on every row. In eta each
+        # row is linear: rho_f (f_k (gamma eta)_k - eta_k) <= -f_k, theta
+        # eta <= 1 and -eta <= 0, so t is one ratio test.
+        f, k = qos.sinr_floor, s.size
+        rows = np.vstack([params.rho_f * (f[:, None] * zf.gamma - np.eye(k)), zf.theta, -np.eye(k)])
+        slack = np.concatenate([-f, np.ones(zf.n_aps), np.zeros(k)]) - rows @ s
+        rate = rows @ (warm - s)
+        t = float(np.clip(np.min(slack[rate > 0.0] / rate[rate > 0.0], initial=1.0), 0.0, 1.0))
+        eta0 = (1.0 - WARM_BLEND) * (t * warm + (1.0 - t) * s) + WARM_BLEND * s
 
     floor = _floor_z(zf.theta)
     z = np.maximum(np.sqrt(eta0), 1.5 * floor)

@@ -20,6 +20,7 @@ from cellfree_ee.harness import (
     sweep_rho_f,
 )
 from cellfree_ee.inner import InfeasibleStartError
+from cellfree_ee.sca import EE_TOL
 from cellfree_ee.zfstats import SingularChannelError
 
 
@@ -251,12 +252,28 @@ class TestSweeps:
         cold = run_point(config, build_instance(config, 12, run_seed(config, 0)), 0.4)
         assert rows[len(config.schemes):2 * len(config.schemes)] == cold
 
-    def test_rising_floors_fall_back_to_cold_starts(self):
+    def test_rising_floors_keep_warm_starts_converged(self):
         # Under the equal-power-rate rule the floors rise with the power, so
-        # the scaled optimum of the smaller power can miss a floor.
+        # the scaled optimum of the smaller power can miss a floor; the warm
+        # start then steps towards it only as far as every row allows.
         config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=3)
         rows = sweep_rho_f(config)
         assert all(r.status == "converged" for r in rows)
+
+    def test_rising_floors_warm_start_on_benchmark_seed(self):
+        # The sweep_rhof benchmark op with equal-power-rate floors, master
+        # seed 300000: every scaled optimum misses a risen floor, and the
+        # partial step towards it still saves outer iterations.
+        config = ExperimentConfig(m_list=[100], k=16, rho_f_w_list=[round(0.2 * i, 1) for i in range(1, 12)],
+                                  qos="equal-power-rate", n_mc=400, n_topologies=1, master_seed=300000,
+                                  schemes=("ipce",))
+        chained = run_topology(config, 100, 0, config.rho_f_w_list)
+        instance = build_instance(config, 100, run_seed(config, 0))
+        cold = [run_point(config, instance, rho)[0] for rho in config.rho_f_w_list]
+        assert [r.status for r in chained] == ["converged"] * len(cold)
+        assert sum(r.iters for r in chained) < sum(r.iters for r in cold)
+        for warm, ref in zip(chained, cold):
+            assert warm.ee_bits_per_joule == pytest.approx(ref.ee_bits_per_joule, rel=EE_TOL)
 
     @staticmethod
     def _benchmark_seed_instance():
