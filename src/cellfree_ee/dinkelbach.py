@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .inner import ConstraintSet, NonConcaveObjectiveError, _minimal_power_start, solve_inner
+from .inner import LOAD_ROUNDOFF, ConstraintSet, NonConcaveObjectiveError, _minimal_power_start, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -48,7 +48,8 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     optimum (every per-AP multiplier is zero); otherwise the step falls back
     to the interior-point solver. The status is `converged` only when the
     parametric gap closed and the last step's subproblem was solved to
-    tolerance.
+    tolerance. A start that loads an AP to one (up to LOAD_ROUNDOFF) is the
+    only feasible point and is returned as `converged` after 0 iterations.
 
     Returns (PowerAllocation or None, SolveReport).
     """
@@ -103,6 +104,10 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     report.lambdas.append(lam)
     report.ee_trajectory.append(energy_efficiency(eta_scale * v, zf0, params))
     report.iterates.append(eta_scale * v)
+    if np.max(theta_hat @ start) >= 1.0 - LOAD_ROUNDOFF:
+        # No interior: the start is the only feasible point, so the optimum.
+        report.status = STATUS_CONVERGED
+        return PowerAllocation(eta=eta_scale * v), report
 
     status = STATUS_MAX_ITER
     for _ in range(MAX_OUTER_ITERS):

@@ -37,6 +37,8 @@ _MU_TARGET = 10.0
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
+# A per-AP load within this of one is one up to roundoff (_minimal_power_start).
+LOAD_ROUNDOFF = 1e-12
 
 
 class InfeasibleStartError(ValueError):
@@ -279,8 +281,13 @@ def _minimal_power_start(theta_hat, coupling, floor):
     the load L = max(theta_hat @ w_min) is below one. theta_hat is scaled so
     that its largest row sum is 1, hence theta_hat @ u <= max(u), and the
     returned w_min + (1 - L) / (2 max(u)) u leaves every floor row slack by
-    the same margin and every per-AP load at most (1 + L) / 2. Returns None
-    when no interior point exists.
+    the same margin and every per-AP load at most (1 + L) / 2.
+
+    When L is one up to LOAD_ROUNDOFF, w_min itself is returned: theta_hat > 0
+    entrywise and every feasible w >= w_min, so it is the only feasible point.
+    The solvers return a start that loads an AP to 1 - LOAD_ROUNDOFF or more
+    (w_min, or an interior point with L >= 1 - 2 LOAD_ROUNDOFF) as the
+    optimum. Returns None when L exceeds one by more than LOAD_ROUNDOFF.
     """
     if np.any(theta_hat.max(axis=0) <= 0.0):
         raise ValueError("theta has an all-zero column; a user consumes no power at any AP")
@@ -292,6 +299,6 @@ def _minimal_power_start(theta_hat, coupling, floor):
     if not np.all(u > 0.0):
         return None
     load = float(np.max(theta_hat @ w_min))
-    if not load < 1.0:
+    if load > 1.0 + LOAD_ROUNDOFF:
         return None
-    return w_min + (1.0 - load) / (2.0 * float(np.max(u))) * u
+    return w_min + max(0.0, 1.0 - load) / (2.0 * float(np.max(u))) * u

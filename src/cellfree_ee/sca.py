@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import ConstraintSet, feasible_point, solve_inner
+from .inner import LOAD_ROUNDOFF, ConstraintSet, feasible_point, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -261,7 +261,9 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     warm, optional, is a power-coefficient vector to start next to, such as
     the optimum at a smaller per-AP power cap scaled by the ratio of the caps
     (which keeps every SINR and lowers every AP load). feasible_point still
-    runs first, so an infeasible problem is still reported as such. With s
+    runs first, so an infeasible problem is still reported as such, and a
+    start that loads an AP to one (up to LOAD_ROUNDOFF) is the only feasible
+    point and is returned as `converged` after 0 iterations. With s
     the feasible_point start and t in [0, 1] the largest step from s towards
     warm that stays on every QoS, per-AP and sign row, the start is
     (1 - WARM_BLEND) (t warm + (1 - t) s) + WARM_BLEND s, which is strictly
@@ -278,6 +280,12 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
         report.status = STATUS_INFEASIBLE
         return None, report
     s = eta0 = start.eta
+    if np.max(zf.theta @ s) >= 1.0 - LOAD_ROUNDOFF:
+        # No interior: the start is the only feasible point, so the optimum.
+        report.status = STATUS_CONVERGED
+        report.ee_trajectory.append(energy_efficiency(s, zf, params))
+        report.iterates.append(s)
+        return start, report
     if warm is not None:
         # t: the largest step from s towards warm on every row. In eta each
         # row is linear: rho_f (f_k (gamma eta)_k - eta_k) <= -f_k, theta

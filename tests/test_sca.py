@@ -298,6 +298,37 @@ def test_ee_trajectory_never_falls(k, extra_aps, seed, p_tx_watts, fraction):
     assert report.ascent_violations == 0
 
 
+def test_single_user_floored_at_the_equal_power_rate_gets_equal_power():
+    # The floor is the rate at equal power, which loads the busiest AP to
+    # one: equal power is the only feasible point, so it is the optimum.
+    _, _, zf, params = build_instance(5, 1, seed=2581, n_mc=300, p_tx_watts=1.0)
+    eq = equal_power_allocation(zf.theta).eta
+    for solve, view in ((solve_ipce, zf), (solve_pce, perfect_view(zf))):
+        alloc, report = solve(view, params, loose_qos(view, params, 1.0))
+        assert report.status == STATUS_CONVERGED and report.outer_iterations == 0
+        ee_equal = energy_efficiency(eq, view, params)
+        assert energy_efficiency(alloc.eta, view, params) == pytest.approx(ee_equal, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    fraction=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_returned_allocations_are_feasible(k, extra_aps, seed, p_tx_watts, fraction):
+    # Floors at most the worst equal-power rate keep equal power feasible,
+    # so both solvers must return an allocation that meets every row.
+    _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    qos = loose_qos(zf, params, fraction)
+    for solve, view in ((solve_pce, perfect_view(zf)), (solve_ipce, zf)):
+        alloc, _ = solve(zf, params, qos)
+        assert alloc is not None
+        assert check_feasibility(alloc.eta, view, params, qos).feasible
+
+
 def test_ascent_violations_count_falls_in_the_trajectory():
     assert SolveReport(ee_trajectory=[1.0, 0.5, 0.6]).ascent_violations == 1
     assert SolveReport(ee_trajectory=[1.0, 1.0 - 1e-9, 2.0]).ascent_violations == 0
