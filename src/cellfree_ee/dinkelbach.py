@@ -134,7 +134,6 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
                 v = v_new
             report.inner_reports.append(kkt)
             step_solved = kkt.status == STATUS_CONVERGED
-        report.outer_iterations += 1
         report.ee_trajectory.append(energy_efficiency(eta_scale * v, zf0, params))
         report.iterates.append(eta_scale * v)
 

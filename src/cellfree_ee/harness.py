@@ -7,7 +7,7 @@ an instance at one transmit power: the equal-power baseline, the perfect-CSI
 optimizer, and the imperfect-CSI optimizer. Sweeps build each instance once,
 aggregate run points over AP counts or per-AP transmit powers, and write
 schema-stable CSV files. Along the transmit powers of one instance, each
-imperfect-CSI solve starts next to the optimum at the previous, smaller power.
+imperfect-CSI solve starts next to the optimum at the previous power.
 """
 
 from __future__ import annotations
@@ -218,17 +218,19 @@ def build_instance(config: ExperimentConfig, m: int, seed: int) -> Instance:
 def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm=None) -> list:
     """One instance evaluated at one per-AP power under every requested scheme.
 
-    warm, optional, is (rho_f_w_prev, eta_prev): a smaller per-AP power and
+    warm, optional, is (rho_f_w_prev, eta_prev): another per-AP power and
     the imperfect-CSI optimum found at it on the same instance. The IPCE solve
-    then starts from eta_prev scaled by rho_f_w_prev / rho_f_w, which keeps
-    every SINR and lowers every AP load (see solve_ipce); a warm point at a
-    power not below rho_f_w is ignored. Without warm the solve cold-starts.
+    then starts next to eta_prev scaled by rho_f_w_prev / rho_f_w, which keeps
+    every SINR and scales every AP load by the same ratio; solve_ipce steps
+    towards it only as far as every row allows. Without warm the solve
+    cold-starts.
 
-    Fully deterministic given (config, instance, rho_f_w, warm). Infeasible or
-    failed solves are reported as rows with their status rather than dropped;
-    a solve that raises NonConcaveObjectiveError or InfeasibleStartError gives
-    a NaN row with status `error:<exception name>`. Each row carries its power
-    coefficients in `eta`.
+    Fully deterministic given (config, instance, rho_f_w, warm). The schemes
+    are those of a validated config. Infeasible or failed solves are reported
+    as rows with their status rather than dropped; a solve that raises
+    NonConcaveObjectiveError or InfeasibleStartError gives a NaN row with
+    status `error:<exception name>`. Each row carries its power coefficients
+    in `eta`.
     """
     zf = instance.zf
     m = zf.n_aps
@@ -248,26 +250,20 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm
     )
 
     equal = equal_power_allocation(zf.theta)
-    equal_rates = per_user_rate(equal.eta, zf.gamma, params)
     floors = config.qos_floor_for(config.k)
     if floors is None:
         # Equal-power-rate rule: floor every user at the baseline's worst rate,
         # which keeps the baseline feasible and the comparison meaningful.
-        floors = np.full(config.k, float(equal_rates.min()))
+        floors = np.full(config.k, float(per_user_rate(equal.eta, zf.gamma, params).min()))
     qos = QosSpec.from_floor(floors, params)
-    warm_eta = None
-    if warm is not None and warm[0] < rho_f_w:
-        warm_eta = warm[1] * (warm[0] / rho_f_w)
+    warm_eta = None if warm is None else warm[1] * (warm[0] / rho_f_w)
 
     zf_perfect = dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))
     rows = []
     for scheme in config.schemes:
         if scheme == "equal":
-            alloc = equal
-            ee = energy_efficiency(equal.eta, zf, params)
-            sum_se = float(equal_rates.sum())
-            iters, status = 0, STATUS_CONVERGED
-        elif scheme in ("pce", "ipce"):
+            alloc, iters, status = equal, 0, STATUS_CONVERGED
+        else:
             try:
                 if scheme == "pce":
                     alloc, report = solve_pce(zf, params, qos)
@@ -277,9 +273,7 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm
             except (NonConcaveObjectiveError, InfeasibleStartError) as exc:
                 # One failed solve becomes a NaN row; the sweep goes on.
                 alloc, iters, status = None, 0, f"{STATUS_ERROR}:{type(exc).__name__}"
-            ee, sum_se = _scheme_metrics(alloc, zf_perfect if scheme == "pce" else zf, params)
-        else:
-            raise ConfigError(f"unknown scheme {scheme!r}")
+        ee, sum_se = _scheme_metrics(alloc, zf_perfect if scheme == "pce" else zf, params)
         rows.append(
             _row(config, m, rho_f_w, instance.seed, scheme, ee_bits_per_joule=ee, sum_se=sum_se, iters=iters,
                  status=status, eta=None if alloc is None else alloc.eta)
@@ -323,10 +317,9 @@ def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_li
     """Rows of one (M, topology) instance at every power of rho_f_list, in list order.
 
     The powers are chained: each run_point is warm-started from the power just
-    before it in the list when that power is smaller and its IPCE row holds an
-    allocation. The first power, a power after a larger or equal one (so every
-    power of a descending list), and a power after an infeasible or error IPCE
-    row cold-start. A SingularChannelError while building the instance gives
+    before it in the list when its IPCE row holds an allocation, whatever the
+    order of the list. The first power and a power after an infeasible or
+    error IPCE row cold-start. A SingularChannelError while building the instance gives
     NaN rows with status `error:SingularChannelError` for every power and
     scheme of the instance.
     """

@@ -26,8 +26,6 @@ from .reports import STATUS_CONVERGED, STATUS_MAX_ITER, KktReport
 from .zfstats import ZfStatistics
 
 DEFAULT_TOL = 1e-6
-# Entries of the solution this close to zero are reported as exact zeros.
-ZERO_CLIP = 1e-8
 # Newton steps per solve before it reports max-iter.
 _MAX_ITERS = 200
 # mu falls by _MU_DECREASE once the KKT error of the current mu-problem,
@@ -196,7 +194,6 @@ def solve_inner(
     report = KktReport(
         objective=float(max(f_x, f_start)),
         stationarity=stationarity,
-        max_violation=float(max(-s.min(), 0.0)),
         comp_slackness=gap,
         iterations=iterations,
         status=STATUS_CONVERGED if converged else STATUS_MAX_ITER,
@@ -204,7 +201,7 @@ def solve_inner(
     )
     if f_x < f_start:
         return start.copy(), report
-    return _clip_zeros(x, constraints), report
+    return x, report
 
 
 def _primal_step_limit(s, lin_step, quad_step, tau):
@@ -241,16 +238,6 @@ def _solve_newton(newton, grad_phi):
             ridge = max(ridge * 10.0, 1e-14 * scale)
             shifted = newton + ridge * np.eye(newton.shape[0])
     raise NonConcaveObjectiveError("Newton matrix could not be factored; constraint rows may be degenerate")
-
-
-def _clip_zeros(x, constraints):
-    """Report coordinates parked at the interior floor as exact zeros."""
-    clipped = np.where((x >= 0.0) & (x < ZERO_CLIP), 0.0, x)
-    if np.array_equal(clipped, x):
-        return x
-    if np.max(constraints.residuals(clipped)) <= 1e-9:
-        return clipped
-    return x
 
 
 def feasible_point(zf: ZfStatistics, params: PowerParams, qos: QosSpec):

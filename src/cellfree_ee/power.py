@@ -51,10 +51,6 @@ class PowerParams:
         """Total consumption independent of the power coefficients, W (summed once)."""
         return float(self.p_cir + np.sum(self.p_cm) + np.sum(self.p_0m))
 
-    @property
-    def n_aps(self) -> int:
-        return self.alpha.shape[0]
-
 
 def noise_power_watts(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise power: 290 K * k_B * bandwidth * noise figure."""

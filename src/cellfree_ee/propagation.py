@@ -24,14 +24,6 @@ class Topology:
     user_positions: np.ndarray  # (K, 2), km
     area_side: float  # km
 
-    @property
-    def n_aps(self) -> int:
-        return self.ap_positions.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.user_positions.shape[0]
-
 
 @dataclass(frozen=True)
 class MmseStats:

@@ -19,7 +19,6 @@ class KktReport:
 
     objective: float
     stationarity: float  # inf-norm of grad f - sum mu_i grad g_i
-    max_violation: float  # max(0, max_i g_i) at the returned point
     comp_slackness: float  # duality-gap proxy sum_i mu_i s_i
     iterations: int
     status: str
@@ -33,11 +32,15 @@ class SolveReport:
     lambdas: list = field(default_factory=list)  # bits/Joule scale; empty for SCA
     ee_trajectory: list = field(default_factory=list)
     iterates: list = field(default_factory=list)  # power coefficients per outer step
-    outer_iterations: int = 0
     inner_reports: list = field(default_factory=list)
     status: str = STATUS_MAX_ITER
     minorant_violations: int = 0
     backtracks: int = 0  # step halvings of the SCA iteration; 0 for Dinkelbach
+
+    @property
+    def outer_iterations(self) -> int:
+        """Outer steps taken: ee_trajectory holds the start and one entry per step."""
+        return max(len(self.ee_trajectory) - 1, 0)
 
     @property
     def ascent_violations(self) -> int:

@@ -176,33 +176,23 @@ def concave_model(
     return value, gradient, hessian
 
 
-@dataclass(frozen=True)
-class ModelRows:
-    """Constraint rows of the model's feasible set in v = z / z_scale.
+def model_rows(zf: ZfStatistics, params: PowerParams, qos: QosSpec) -> ConstraintSet:
+    """The rows of sca_step's model set in v = z / z_scale that stay fixed along one solve.
 
     Row order: the K linearized QoS rows, the per-AP loads and the interior
     floor v >= SCA_FLOOR. Only the linear part and the bound of the QoS rows
-    depend on the expansion point; `rows` holds zeros there, and sca_step
-    fills them in for each step.
+    depend on the expansion point; they are zeros here, and sca_step fills
+    them in for each step.
     """
-
-    z_scale: float  # square root of the equal-power coefficient
-    rho_hat: float  # rho_f times the equal-power coefficient
-    rows: ConstraintSet
-
-
-def model_rows(zf: ZfStatistics, params: PowerParams, qos: QosSpec) -> ModelRows:
-    """The rows of sca_step that stay fixed along one solve."""
     theta = zf.theta
     n_aps, k = theta.shape
     eta_scale = float(equal_power_allocation(theta).eta[0])
     rho_hat = params.rho_f * eta_scale
-    rows = ConstraintSet(
+    return ConstraintSet(
         np.vstack([qos.sinr_floor[:, None] * rho_hat * zf.gamma, theta * eta_scale, np.zeros((k, k))]),
         np.vstack([np.zeros((n_aps + k, k)), -np.eye(k)]),
         np.concatenate([np.zeros(k), np.ones(n_aps), np.full(k, -SCA_FLOOR)]),
     )
-    return ModelRows(float(np.sqrt(eta_scale)), rho_hat, rows)
 
 
 def sca_step(
@@ -210,7 +200,7 @@ def sca_step(
     zf: ZfStatistics,
     params: PowerParams,
     qos: QosSpec,
-    fixed: ModelRows | None = None,
+    fixed: ConstraintSet | None = None,
 ) -> tuple:
     """Maximize the concavified model over the convexified constraint set.
 
@@ -226,14 +216,16 @@ def sca_step(
     """
     if fixed is None:
         fixed = model_rows(zf, params, qos)
-    z_scale, rho_hat = fixed.z_scale, fixed.rho_hat
+    # v = z / z_scale with z_scale^2 the equal-power coefficient, as in model_rows.
+    eta_scale = float(equal_power_allocation(zf.theta).eta[0])
+    z_scale, rho_hat = float(np.sqrt(eta_scale)), params.rho_f * eta_scale
     v_bar = surr.expansion / z_scale
     k = v_bar.size
-    lin = fixed.rows.lin.copy()
+    lin = fixed.lin.copy()
     np.fill_diagonal(lin[:k], -2.0 * rho_hat * v_bar)
-    bound = fixed.rows.bound.copy()
+    bound = fixed.bound.copy()
     bound[:k] = -qos.sinr_floor - rho_hat * v_bar**2
-    constraints = ConstraintSet(fixed.rows.quad, lin, bound)
+    constraints = ConstraintSet(fixed.quad, lin, bound)
 
     # The model is tight at its expansion point, so its value there is F(z_bar) > 0.
     f_bar = float(np.log1p(surr.x_n).sum()) / surr.t_n
@@ -259,8 +251,9 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     minorant violations.
 
     warm, optional, is a power-coefficient vector to start next to, such as
-    the optimum at a smaller per-AP power cap scaled by the ratio of the caps
-    (which keeps every SINR and lowers every AP load). feasible_point still
+    the optimum at another per-AP power cap scaled by the ratio of the caps
+    (which keeps every SINR and scales every AP load by that ratio, so a
+    larger previous cap can overload an AP). feasible_point still
     runs first, so an infeasible problem is still reported as such, and a
     start that loads an AP to one (up to LOAD_ROUNDOFF) is the only feasible
     point and is returned as `converged` after 0 iterations. With s
@@ -268,8 +261,9 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     warm that stays on every QoS, per-AP and sign row, the start is
     (1 - WARM_BLEND) (t warm + (1 - t) s) + WARM_BLEND s, which is strictly
     inside. When warm meets every row, t = 1 and the start is the blend
-    (1 - WARM_BLEND) warm + WARM_BLEND s; when floors rose with the cap, the
-    step stops where the first row binds. Without warm the start is s.
+    (1 - WARM_BLEND) warm + WARM_BLEND s; when warm misses a floor or
+    overloads an AP, the step stops where the first row binds. Without warm
+    the start is s.
 
     Returns (PowerAllocation or None, SolveReport).
     """
@@ -310,7 +304,6 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
         surr = build_surrogate(z, zf, params)
         z_new, kkt = sca_step(surr, zf, params, qos, fixed)
         report.inner_reports.append(kkt)
-        report.outer_iterations += 1
 
         truth = fractional_objective(z_new, zf, params)
         if surrogate_value(surr, z_new, zf, params) > truth + _MINORANT_TOL * max(1.0, abs(truth)):

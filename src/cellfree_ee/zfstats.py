@@ -47,10 +47,6 @@ class ZfStatistics:
     def n_aps(self) -> int:
         return self.theta.shape[0]
 
-    @property
-    def n_users(self) -> int:
-        return self.theta.shape[1]
-
 
 @dataclass(frozen=True)
 class SinrValidation:

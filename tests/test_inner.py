@@ -107,7 +107,6 @@ def reference_solve_inner(objective, constraints, start, tol=inner.DEFAULT_TOL):
     report = KktReport(
         objective=float(max(f_x, f_start)),
         stationarity=stationarity,
-        max_violation=float(max(np.max(-s), 0.0)),
         comp_slackness=float(np.sum(comp)),
         iterations=iterations,
         status=STATUS_CONVERGED if converged else STATUS_MAX_ITER,
@@ -115,7 +114,7 @@ def reference_solve_inner(objective, constraints, start, tol=inner.DEFAULT_TOL):
     )
     if f_x < f_start:
         return start.copy(), report
-    return inner._clip_zeros(x, constraints), report
+    return x, report
 
 
 def assert_matches_reference(objective, constraints, start, tol=inner.DEFAULT_TOL):
