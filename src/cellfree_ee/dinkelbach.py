@@ -27,7 +27,8 @@ from .zfstats import ZfStatistics
 
 # Relative parametric gap at which the Dinkelbach iteration stops.
 GAP_TOL = 1e-6
-# KKT tolerance of the interior-point fallback, in the scaled units.
+# KKT tolerance of the interior-point fallback, in the scaled units; the
+# subproblem is divided by min(1, sum rate), as the SCA model is by min(1, F).
 INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 
@@ -84,15 +85,17 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     def denominator(v):
         return float(d_hat @ v) + p_fixed
 
-    def subproblem(lam_hat):
+    def subproblem(lam_hat, f_scale):
+        """The parametric objective times f_scale, with its gradient and Hessian diagonal."""
+
         def value(x):
-            return sum_rate(x) - lam_hat * denominator(x)
+            return f_scale * (sum_rate(x) - lam_hat * denominator(x))
 
         def gradient(x):
-            return prelog * rho_hat / ((1.0 + rho_hat * x) * ln2) - lam_hat * d_hat
+            return f_scale * (prelog * rho_hat / ((1.0 + rho_hat * x) * ln2) - lam_hat * d_hat)
 
         def hessian(x):
-            diag = -prelog * rho_hat**2 / ((1.0 + rho_hat * x) ** 2 * ln2)
+            diag = f_scale * (-prelog * rho_hat**2 / ((1.0 + rho_hat * x) ** 2 * ln2))
             if not np.all(diag < 0.0):
                 raise NonConcaveObjectiveError("parametric objective lost concavity")
             return diag
@@ -127,8 +130,10 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
                 )
             # Each fallback starts from the interior point, not from the previous
             # optimum next to a binding row; that iterate (value 0 here) is kept
-            # when the solve, exact only to tolerance, ends below it.
-            objective = subproblem(lam_hat)
+            # when the solve, exact only to tolerance, ends below it. Dividing
+            # by min(1, sum rate at v) makes INNER_TOL relative to the rate
+            # where the rate is below one, as sca_step does with F.
+            objective = subproblem(lam_hat, 1.0 / min(1.0, sum_rate(v)))
             v_new, kkt = solve_inner(objective, constraints, start, tol=INNER_TOL)
             if objective[0](v_new) >= objective[0](v):
                 v = v_new

@@ -187,6 +187,18 @@ def test_every_fallback_starts_well_inside():
     assert min(slacks) >= 1e-3
 
 
+def test_fallback_tolerance_is_relative_at_a_small_rate():
+    # K = 1 at 0.02 W: both Dinkelbach steps fall back to the interior-point
+    # solver. With an absolute KKT tolerance on this small objective the
+    # fallback stopped short of the binding per-AP row, 5.6e-5 below equal power.
+    _, _, zf, params = build_instance(2, 1, seed=7560, n_mc=200, p_tx_watts=0.02)
+    alloc, report = solve_pce(zf, params, loose_qos(zf, params, 0.5))
+    assert report.status == STATUS_CONVERGED and report.inner_reports
+    zf0 = perfect_view(zf)
+    ee_equal = energy_efficiency(equal_power_allocation(zf.theta).eta, zf0, params)
+    assert energy_efficiency(alloc.eta, zf0, params) >= ee_equal * (1.0 - dinkelbach.GAP_TOL)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     k=st.integers(1, 4),
