@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
 
 from cellfree_ee import sca
-from cellfree_ee.dinkelbach import solve_pce
+from cellfree_ee.dinkelbach import GAP_TOL, solve_pce
 from cellfree_ee.harness import ExperimentConfig, build_instance as build_harness_instance, run_seed
 from cellfree_ee.inner import feasible_point, solve_inner
 from cellfree_ee.power import (
@@ -327,6 +327,25 @@ def test_returned_allocations_are_feasible(k, extra_aps, seed, p_tx_watts, fract
         alloc, _ = solve(zf, params, qos)
         assert alloc is not None
         assert check_feasibility(alloc.eta, view, params, qos).feasible
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    fraction=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_optimized_ee_at_least_equal_power(k, extra_aps, seed, p_tx_watts, fraction):
+    # Floors at most the worst equal-power rate keep equal power feasible, so
+    # each solver must end at least as high, up to its own stopping tolerance.
+    _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    qos = loose_qos(zf, params, fraction)
+    eq = equal_power_allocation(zf.theta).eta
+    for solve, view, tol in ((solve_pce, perfect_view(zf), GAP_TOL), (solve_ipce, zf, sca.EE_TOL)):
+        alloc, _ = solve(zf, params, qos)
+        assert energy_efficiency(alloc.eta, view, params) >= energy_efficiency(eq, view, params) * (1.0 - tol)
 
 
 def test_ascent_violations_count_falls_in_the_trajectory():
