@@ -74,14 +74,21 @@ class ExperimentConfig:
     schemes: tuple[str, ...] = ALL_SCHEMES
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type in ("float", "list[float]") and not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
+        for name in ("area_side_km", "bandwidth_hz", "drain_efficiency", "rho_r_w"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("sigma_shad_db", "d_min_km", "p_cir_w", "p_cm_w", "p_0m_w", "p_bt_w_per_gbps", "master_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if not self.m_list:
             raise ConfigError("m_list must not be empty")
         if not self.rho_f_w_list:
             raise ConfigError("rho_f_w_list must not be empty")
         if any(rho <= 0 for rho in self.rho_f_w_list):
             raise ConfigError("entries of rho_f_w_list must be positive")
-        if self.rho_r_w <= 0:
-            raise ConfigError("rho_r_w must be positive")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
         if any(m <= self.k for m in self.m_list):
@@ -115,8 +122,8 @@ class ExperimentConfig:
             values = [float(part) for part in rule.split(",")]
         except ValueError:
             raise ConfigError(f"qos must be '{QOS_EQUAL_POWER_RATE}', a number, or a comma list, got {self.qos!r}")
-        if any(v < 0 for v in values):
-            raise ConfigError("qos floors must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in values):
+            raise ConfigError("qos floors must be finite and nonnegative")
         if len(values) == 1:
             return np.full(k, values[0])
         if len(values) != k:

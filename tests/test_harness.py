@@ -360,6 +360,30 @@ class TestCli:
         bad.write_text("unknown_key = 1\n", encoding="utf-8")
         assert main(["single", "--config", str(bad)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "line, extra",
+        [
+            ("area_side_km = 0", []),
+            ("sigma_shad_db = -1", []),
+            ("d_min_km = -0.1", []),
+            ("bandwidth_hz = 0", []),
+            ("drain_efficiency = 0", []),
+            ("noise_figure_db = nan", []),
+            ("p_cm_w = -0.2", []),
+            ("rho_f_w_list = 0.2,inf", []),
+            ("qos = nan", []),
+            ("", ["--seed", "-1"]),
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, extra):
+        # Rejected before the run: left to it, these raise deep inside
+        # (ZeroDivisionError, LinAlgError, ValueError) or give rows of a
+        # meaningless model.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["single", "--config", str(cfg), *extra]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_config_file_exit_code(self):
         assert main(["single", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG_ERROR
 
