@@ -232,12 +232,12 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm
     towards it only as far as every row allows. Without warm the solve
     cold-starts.
 
-    Fully deterministic given (config, instance, rho_f_w, warm). The schemes
-    are those of a validated config. Infeasible or failed solves are reported
-    as rows with their status rather than dropped; a solve that raises
-    NonConcaveObjectiveError or InfeasibleStartError gives a NaN row with
-    status `error:<exception name>`. Each row carries its power coefficients
-    in `eta`.
+    Fully deterministic given (config, instance, rho_f_w, warm). config must
+    have passed validate(), which rejects unknown schemes. Infeasible or
+    failed solves are reported as rows with their status rather than dropped;
+    a solve that raises NonConcaveObjectiveError or InfeasibleStartError gives
+    a NaN row with status `error:<exception name>`. Each row carries its power
+    coefficients in `eta`.
     """
     zf = instance.zf
     m = zf.n_aps
@@ -326,9 +326,9 @@ def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_li
     The powers are chained: each run_point is warm-started from the power just
     before it in the list when its IPCE row holds an allocation, whatever the
     order of the list. The first power and a power after an infeasible or
-    error IPCE row cold-start. A SingularChannelError while building the instance gives
-    NaN rows with status `error:SingularChannelError` for every power and
-    scheme of the instance.
+    error IPCE row cold-start. A SingularChannelError while building the
+    instance gives NaN rows with status `error:SingularChannelError` for every
+    power and scheme of the instance.
     """
     seed = run_seed(config, topology_index)
     try:
