@@ -27,9 +27,6 @@ from .zfstats import ZfStatistics
 
 # Relative parametric gap at which the Dinkelbach iteration stops.
 GAP_TOL = 1e-6
-# KKT tolerance of the interior-point fallback, in the scaled units; the
-# subproblem is divided by min(1, sum rate), as the SCA model is by min(1, F).
-INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 
 
@@ -76,7 +73,6 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     # Affine denominator in the scaled variable: d_hat . v + p_fixed (watts).
     d_hat = params.rho_f * params.n0_watts * (params.alpha @ theta) * eta_scale
     ln2 = np.log(2.0)
-    constraints = None  # fallback rows, built on the first step that needs them
 
     def sum_rate(v):
         """Sum spectral efficiency at v, bits/s/Hz."""
@@ -121,20 +117,19 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
             v = water
             step_solved = True
         else:
-            if constraints is None:
-                # Rows: per-AP load and the QoS floors v >= lower.
-                constraints = ConstraintSet(
-                    np.zeros((theta.shape[0] + k, k)),
-                    np.vstack([theta_hat, -np.eye(k)]),
-                    np.concatenate([np.ones(theta.shape[0]), -lower]),
-                )
+            # Rows: per-AP load and the QoS floors v >= lower.
+            constraints = ConstraintSet(
+                np.zeros((theta.shape[0] + k, k)),
+                np.vstack([theta_hat, -np.eye(k)]),
+                np.concatenate([np.ones(theta.shape[0]), -lower]),
+            )
             # Each fallback starts from the interior point, not from the previous
             # optimum next to a binding row; that iterate (value 0 here) is kept
             # when the solve, exact only to tolerance, ends below it. Dividing
-            # by min(1, sum rate at v) makes INNER_TOL relative to the rate
+            # by min(1, sum rate at v) makes inner.TOL relative to the rate
             # where the rate is below one, as sca_step does with F.
             objective = subproblem(lam_hat, 1.0 / min(1.0, sum_rate(v)))
-            v_new, kkt = solve_inner(objective, constraints, start, tol=INNER_TOL)
+            v_new, kkt = solve_inner(objective, constraints, start)
             if objective[0](v_new) >= objective[0](v):
                 v = v_new
             report.inner_reports.append(kkt)

@@ -25,7 +25,8 @@ from .power import PowerAllocation, PowerParams, QosSpec, equal_power_allocation
 from .reports import STATUS_CONVERGED, STATUS_MAX_ITER, KktReport
 from .zfstats import ZfStatistics
 
-DEFAULT_TOL = 1e-6
+# KKT tolerance on stationarity and on the duality-gap proxy sum(lambda s).
+TOL = 1e-6
 # Newton steps per solve before it reports max-iter.
 _MAX_ITERS = 200
 # mu falls by _MU_DECREASE once the KKT error of the current mu-problem,
@@ -67,10 +68,6 @@ class ConstraintSet:
         """-g(x) per row, bound - quad . x^2 - lin . x; strictly feasible points give positive values."""
         return self.bound - self.quad @ (x * x) - self.lin @ x
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """g(x) per row; feasible points give nonpositive values."""
-        return -self.slacks(x)
-
     def row_grads(self, x: np.ndarray) -> np.ndarray:
         """The Jacobian of g at x, one row per constraint."""
         rows = self.quad * (2.0 * x)
@@ -78,12 +75,7 @@ class ConstraintSet:
         return rows
 
 
-def solve_inner(
-    objective,
-    constraints: ConstraintSet,
-    start: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> tuple:
+def solve_inner(objective, constraints: ConstraintSet, start: np.ndarray) -> tuple:
     """Maximize a smooth, separable concave objective over the constraint set.
 
     Parameters
@@ -94,7 +86,6 @@ def solve_inner(
         solver in the package is: the SCA model, the Dinkelbach subproblem).
     constraints : ConstraintSet
     start : strictly feasible point (every row slack positive)
-    tol : absolute KKT tolerance on stationarity and the duality-gap proxy
 
     Duals start at lambda = 1/s with mu = 1. Each Newton step solves
     N dx = grad f - mu J^T (1/s) with the Newton matrix
@@ -103,8 +94,8 @@ def solve_inner(
     N is factored once by Cholesky as the positive-definiteness test, with a
     growing ridge only if that fails. mu shrinks by _MU_DECREASE whenever
     max(stationarity, max |lambda s - mu|) <= _MU_TARGET mu, down to
-    tol / (10 rows). The solve stops when stationarity <= tol and
-    sum(lambda s) <= tol, or after _MAX_ITERS steps. The returned point never
+    TOL / (10 rows). The solve stops when stationarity <= TOL and
+    sum(lambda s) <= TOL, or after _MAX_ITERS steps. The returned point never
     has a lower objective than the start.
 
     Returns (x, KktReport). Raises InfeasibleStartError for a bad start and
@@ -125,7 +116,7 @@ def solve_inner(
     diagonal = slice(None, None, x.size + 1)  # the diagonal of a flattened (n, n) matrix
     lam = 1.0 / s
     mu = 1.0
-    mu_min = tol / (10.0 * m)
+    mu_min = TOL / (10.0 * m)
     f_start = f_x = value(x)
     log_s = float(np.log(s).sum())
     iterations = 0
@@ -135,7 +126,7 @@ def solve_inner(
         stationarity = float(np.abs(grad_f - lam @ rows).max())
         comp = lam * s
         gap = float(comp.sum())
-        converged = stationarity <= tol and gap <= tol * (1 + 1e-12)
+        converged = stationarity <= TOL and gap <= TOL * (1 + 1e-12)
         if converged or iterations == _MAX_ITERS:
             break
         while (
@@ -187,7 +178,7 @@ def solve_inner(
         lam = lam + alpha_dual * d_lam
         iterations += 1
 
-    if converged and f_x < f_start - tol * max(1.0, abs(f_start)):
+    if converged and f_x < f_start - TOL * max(1.0, abs(f_start)):
         # A converged interior path cannot end materially below a feasible start.
         raise NonConcaveObjectiveError("objective decreased along the interior path; check concavity")
     # The KKT fields describe the last iterate; the objective, the returned point.

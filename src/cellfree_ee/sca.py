@@ -52,9 +52,6 @@ from .zfstats import ZfStatistics
 SCA_FLOOR = 1e-6
 # Relative change of the true EE at which the iteration stops.
 EE_TOL = 1e-6
-# KKT tolerance of each model solve; sca_step divides the model by
-# min(1, F(z_bar)), so the tolerance is relative to F when F < 1.
-INNER_TOL = 1e-6
 MAX_OUTER_ITERS = 50
 # Halvings of a step that lowered F before the iterate stays where it was.
 MAX_HALVINGS = 30
@@ -176,61 +173,36 @@ def concave_model(
     return value, gradient, hessian
 
 
-def model_rows(zf: ZfStatistics, params: PowerParams, qos: QosSpec) -> ConstraintSet:
-    """The rows of sca_step's model set in v = z / z_scale that stay fixed along one solve.
-
-    Row order: the K linearized QoS rows, the per-AP loads and the interior
-    floor v >= SCA_FLOOR. Only the linear part and the bound of the QoS rows
-    depend on the expansion point; they are zeros here, and sca_step fills
-    them in for each step.
-    """
-    theta = zf.theta
-    n_aps, k = theta.shape
-    eta_scale = float(equal_power_allocation(theta).eta[0])
-    rho_hat = params.rho_f * eta_scale
-    return ConstraintSet(
-        np.vstack([qos.sinr_floor[:, None] * rho_hat * zf.gamma, theta * eta_scale, np.zeros((k, k))]),
-        np.vstack([np.zeros((n_aps + k, k)), -np.eye(k)]),
-        np.concatenate([np.zeros(k), np.ones(n_aps), np.full(k, -SCA_FLOOR)]),
-    )
-
-
-def sca_step(
-    surr: Surrogate,
-    zf: ZfStatistics,
-    params: PowerParams,
-    qos: QosSpec,
-    fixed: ConstraintSet | None = None,
-) -> tuple:
+def sca_step(surr: Surrogate, zf: ZfStatistics, params: PowerParams, qos: QosSpec) -> tuple:
     """Maximize the concavified model over the convexified constraint set.
 
     QoS rows are difference-of-convex in z; their signal side rho_f z_k^2 is
     replaced by the tangent rho_f (2 z_bar_k z_k - z_bar_k^2), so any point of
     the model's feasible set satisfies the original constraints. Per-AP rows
     are convex and kept exact. The model is handed to solve_inner in
-    v = z / z_scale and divided by min(1, F(z_bar)), F(z_bar) being the
-    model's value at its expansion point: INNER_TOL is then relative to F
-    when F < 1, and the absolute tolerance, which is the tighter one, when
-    F >= 1. fixed is model_rows(zf, params, qos), built here when not given.
+    v = z / z_scale, z_scale^2 the equal-power coefficient, and divided by
+    min(1, F(z_bar)), F(z_bar) being the model's value at its expansion
+    point: inner.TOL is then relative to F when F < 1, and the absolute
+    tolerance, which is the tighter one, when F >= 1. The rows are built here
+    from the expansion point, in the order: the K linearized QoS rows, the
+    per-AP loads and the interior floor v >= SCA_FLOOR.
     Returns (z_new, KktReport).
     """
-    if fixed is None:
-        fixed = model_rows(zf, params, qos)
-    # v = z / z_scale with z_scale^2 the equal-power coefficient, as in model_rows.
-    eta_scale = float(equal_power_allocation(zf.theta).eta[0])
+    theta = zf.theta
+    n_aps, k = theta.shape
+    eta_scale = float(equal_power_allocation(theta).eta[0])
     z_scale, rho_hat = float(np.sqrt(eta_scale)), params.rho_f * eta_scale
     v_bar = surr.expansion / z_scale
-    k = v_bar.size
-    lin = fixed.lin.copy()
-    np.fill_diagonal(lin[:k], -2.0 * rho_hat * v_bar)
-    bound = fixed.bound.copy()
-    bound[:k] = -qos.sinr_floor - rho_hat * v_bar**2
-    constraints = ConstraintSet(fixed.quad, lin, bound)
+    constraints = ConstraintSet(
+        np.vstack([qos.sinr_floor[:, None] * rho_hat * zf.gamma, theta * eta_scale, np.zeros((k, k))]),
+        np.vstack([np.diag(-2.0 * rho_hat * v_bar), np.zeros((n_aps, k)), -np.eye(k)]),
+        np.concatenate([-qos.sinr_floor - rho_hat * v_bar**2, np.ones(n_aps), np.full(k, -SCA_FLOOR)]),
+    )
 
     # The model is tight at its expansion point, so its value there is F(z_bar) > 0.
     f_bar = float(np.log1p(surr.x_n).sum()) / surr.t_n
     objective = concave_model(surr, zf, params, z_scale=z_scale, f_scale=1.0 / min(1.0, f_bar))
-    v_new, report = solve_inner(objective, constraints, v_bar, tol=INNER_TOL)
+    v_new, report = solve_inner(objective, constraints, v_bar)
     return z_scale * v_new, report
 
 
@@ -239,10 +211,9 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
 
     Starts from the interior point of feasible_point, iterates build_surrogate
     and sca_step until the true energy efficiency stabilizes, and returns the
-    last iterate with the full trajectory. The rows that do not follow the
-    expansion point are built once (model_rows). When the model's maximizer
-    lowers F, the step is halved along the segment from the current point,
-    which stays in the convex model set, until F does not fall; after
+    last iterate with the full trajectory. When the model's maximizer lowers
+    F, the step is halved along the segment from the current point, which
+    stays in the convex model set, until F does not fall; after
     MAX_HALVINGS halvings the iterate stays where it was, so the EE change is
     0 and the iteration ends. F never falls, so neither does the EE and the
     last iterate is the best. The status is `converged` only when the EE
@@ -293,7 +264,6 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
 
     floor = _floor_z(zf.theta)
     z = np.maximum(np.sqrt(eta0), 1.5 * floor)
-    fixed = model_rows(zf, params, qos)
     f = fractional_objective(z, zf, params)
     ee = energy_efficiency(z * z, zf, params)
     report.ee_trajectory.append(ee)
@@ -302,7 +272,7 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     status = STATUS_MAX_ITER
     for _ in range(MAX_OUTER_ITERS):
         surr = build_surrogate(z, zf, params)
-        z_new, kkt = sca_step(surr, zf, params, qos, fixed)
+        z_new, kkt = sca_step(surr, zf, params, qos)
         report.inner_reports.append(kkt)
 
         truth = fractional_objective(z_new, zf, params)

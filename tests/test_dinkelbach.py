@@ -100,7 +100,7 @@ def test_uncertified_curvature_raises_typed_error(small_instance, monkeypatch):
     # curvature that cannot be shown negative (NaN here) must stop the solve.
     _, _, zf, params = small_instance
 
-    def probe_hessian(objective, constraints, start, tol):
+    def probe_hessian(objective, constraints, start):
         objective[2](np.full_like(start, np.nan))
 
     monkeypatch.setattr(dinkelbach, "solve_inner", probe_hessian)
@@ -176,9 +176,9 @@ def test_every_fallback_starts_well_inside():
     slacks = []
     solve = dinkelbach.solve_inner
 
-    def spy(objective, constraints, start, tol):
+    def spy(objective, constraints, start):
         slacks.append(float(constraints.slacks(start).min()))
-        return solve(objective, constraints, start, tol=tol)
+        return solve(objective, constraints, start)
 
     with mock.patch.object(dinkelbach, "solve_inner", spy):
         (row,) = run_point(config, instance, 0.2)

@@ -27,19 +27,19 @@ from cellfree_ee.reports import STATUS_CONVERGED, STATUS_MAX_ITER, KktReport
 from cellfree_ee.sca import solve_ipce
 
 
-def reference_solve_inner(objective, constraints, start, tol=inner.DEFAULT_TOL):
+def reference_solve_inner(objective, constraints, start, tol=inner.TOL):
     """solve_inner's iteration written out plainly, kept as an oracle.
 
     Same rules and constants, but the objective's Hessian is a full matrix,
     the Newton matrix is formed by subtracting matrices, the step comes from
-    the Cholesky factor by two solves, and slacks (as -residuals) and the
-    barrier's sum log s are recomputed afresh each step.
+    the Cholesky factor by two solves, and the slacks and the barrier's
+    sum log s are recomputed afresh each step.
     """
     value, gradient, hessian = objective
     start = np.asarray(start, dtype=float)
     x = start.copy()
     m = len(constraints)
-    s = -constraints.residuals(x)
+    s = constraints.slacks(x)
     if np.min(s) <= 0.0:
         raise InfeasibleStartError(f"start violates a constraint by {float(np.max(-s)):.3e}")
     quad = constraints.quad
@@ -91,7 +91,7 @@ def reference_solve_inner(objective, constraints, start, tol=inner.DEFAULT_TOL):
         phi = f_x + mu * float(np.sum(np.log(s)))
         for _ in range(inner._MAX_BACKTRACKS):
             x_new = x + alpha * step
-            s_new = -constraints.residuals(x_new)
+            s_new = constraints.slacks(x_new)
             if np.min(s_new) > 0.0:
                 f_new = value(x_new)
                 if f_new + mu * float(np.sum(np.log(s_new))) >= phi + inner._ARMIJO_SLOPE * alpha * slope:
@@ -117,7 +117,7 @@ def reference_solve_inner(objective, constraints, start, tol=inner.DEFAULT_TOL):
     return x, report
 
 
-def assert_matches_reference(objective, constraints, start, tol=inner.DEFAULT_TOL):
+def assert_matches_reference(objective, constraints, start):
     """solve_inner against the reference loop on identical inputs.
 
     Both loops do the same mathematics in a different floating-point order.
@@ -126,15 +126,15 @@ def assert_matches_reference(objective, constraints, start, tol=inner.DEFAULT_TO
     1e-3 (a start within about 1e-8 of a row), the first step carries
     more roundoff than the 1% fraction-to-boundary margin in either loop, the
     paths part, and both results are only optimal to the KKT tolerance. Then
-    the statuses must agree and the objectives within tol. Otherwise the
+    the statuses must agree and the objectives within inner.TOL. Otherwise the
     statuses must agree, x within 1e-7 relative and the objective within 1e-9
     relative. Returns (strict, iterations, reference iterations).
     """
-    x, report = solve_inner(objective, constraints, start, tol=tol)
+    x, report = solve_inner(objective, constraints, start)
     value, gradient, hessian = objective
-    x_ref, ref = reference_solve_inner((value, gradient, lambda v: np.diag(hessian(v))), constraints, start, tol)
+    x_ref, ref = reference_solve_inner((value, gradient, lambda v: np.diag(hessian(v))), constraints, start)
     assert report.status == ref.status
-    s = -constraints.residuals(start)
+    s = constraints.slacks(start)
     rows = constraints.row_grads(start)
     first = (rows / (s * s)[:, None]).T @ rows + np.diag(2.0 * (constraints.quad.T @ (1.0 / s)) - hessian(start))
     strict = np.linalg.cond(first) * np.finfo(float).eps <= 1e-3
@@ -142,7 +142,7 @@ def assert_matches_reference(objective, constraints, start, tol=inner.DEFAULT_TO
         assert np.max(np.abs(x - x_ref)) <= 1e-7 * np.max(np.abs(x_ref))
         assert abs(report.objective - ref.objective) <= 1e-9 * abs(ref.objective)
     else:
-        assert abs(report.objective - ref.objective) <= tol * max(1.0, abs(ref.objective))
+        assert abs(report.objective - ref.objective) <= inner.TOL * max(1.0, abs(ref.objective))
     return strict, report.iterations, ref.iterations
 
 
@@ -207,7 +207,7 @@ class TestSolveInner:
             np.array([0.0, 0.0, 1.0]),
         )
         x, _ = solve_inner(quadratic_objective([2.0, 2.0]), cs, np.array([0.1, 0.1]))
-        assert np.max(cs.residuals(x)) <= 1e-9
+        assert np.max(-cs.slacks(x)) <= 1e-9
 
     def test_infeasible_start_raises(self):
         with pytest.raises(InfeasibleStartError):
@@ -254,7 +254,7 @@ def test_solve_inner_matches_slsqp(n, n_quad, n_lin, seed):
     )
 
     x, report = solve_inner(objective, cs, start)
-    assert np.max(cs.residuals(x)) < 0.0
+    assert np.max(-cs.slacks(x)) < 0.0
     assert report.status == STATUS_CONVERGED
     assert report.stationarity <= 1e-6 and report.comp_slackness <= 1e-6
     assert np.all(report.multipliers > 0.0)
@@ -266,25 +266,25 @@ def test_solve_inner_matches_slsqp(n, n_quad, n_lin, seed):
         start,
         jac=lambda y: -objective[1](y),
         method="SLSQP",
-        constraints={"type": "ineq", "fun": lambda y: -cs.residuals(y), "jac": lambda y: -cs.row_grads(y)},
+        constraints={"type": "ineq", "fun": cs.slacks, "jac": lambda y: -cs.row_grads(y)},
         options={"ftol": 1e-10, "maxiter": 500},
     )
     # SLSQP may stop with "positive directional derivative" next to the
     # optimum, so its answer is checked for feasibility rather than success.
-    assert np.max(cs.residuals(oracle.x)) <= 1e-6
+    assert np.max(-cs.slacks(oracle.x)) <= 1e-6
     best = -oracle.fun
     assert abs(objective[0](x) - best) <= 1e-6 * max(1.0, abs(best))
 
 
 def _captured_subproblems(config, m, powers):
-    """Every (objective, constraints, start, tol) that the IPCE and PCE solves
+    """Every (objective, constraints, start) that the IPCE and PCE solves
     of cold run_point calls hand to solve_inner on one instance."""
     instance = build_harness_instance(config, m, run_seed(config, 0))
     captured = []
 
-    def record(objective, constraints, start, tol=inner.DEFAULT_TOL):
-        captured.append((objective, constraints, np.array(start, dtype=float), tol))
-        return solve_inner(objective, constraints, start, tol=tol)
+    def record(objective, constraints, start):
+        captured.append((objective, constraints, np.array(start, dtype=float)))
+        return solve_inner(objective, constraints, start)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sca, "solve_inner", record)
@@ -311,8 +311,8 @@ def test_captured_subproblems_match_reference(config, m, powers):
     captured = _captured_subproblems(config, m, powers)
     is_sca = [objective[0].__qualname__.startswith("concave_model") for objective, *_ in captured]
     assert any(is_sca) and not all(is_sca)  # both solvers' subproblems are there
-    for objective, constraints, start, tol in captured:
-        strict, _, _ = assert_matches_reference(objective, constraints, start, tol)
+    for objective, constraints, start in captured:
+        strict, _, _ = assert_matches_reference(objective, constraints, start)
         # Every solve captured here is well conditioned at its start; the
         # Dinkelbach fallbacks start from the closed-form interior point.
         assert strict
