@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
         cmd.add_argument("--out", metavar="PATH", help="per-run CSV path (aggregate written alongside)")
         cmd.add_argument("--schemes", metavar="LIST", help="comma list from equal,pce,ipce")
-        cmd.add_argument("--topologies", type=int, metavar="N", help="topology draws per point")
+        if name != "single":  # single runs the first topology only
+            cmd.add_argument("--topologies", type=int, metavar="N", help="topology draws per point")
         cmd.add_argument("--mc", type=int, metavar="N", help="channel draws for the precoder statistics")
     return parser
 
@@ -48,7 +49,7 @@ def _load_config(args) -> ExperimentConfig:
         config.master_seed = args.seed
     if args.schemes is not None:
         config.schemes = tuple(comma_list(args.schemes))
-    if args.topologies is not None:
+    if getattr(args, "topologies", None) is not None:
         config.n_topologies = args.topologies
     if args.mc is not None:
         config.n_mc = args.mc
@@ -57,7 +58,11 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is a config error here.
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG_ERROR
     try:
         config = _load_config(args)
         if args.command == "sweep-m":

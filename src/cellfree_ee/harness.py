@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError("rho_f_w_list must not be empty")
         if any(rho <= 0 for rho in self.rho_f_w_list):
             raise ConfigError("entries of rho_f_w_list must be positive")
+        for name in ("m_list", "rho_f_w_list", "schemes"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{name} must not repeat an entry")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
         if any(m <= self.k for m in self.m_list):

@@ -50,3 +50,12 @@ def test_a_tree_against_itself_is_identical(tmp_path, capsys):
     assert code == audit_rows.EXIT_OK
     assert "rows compared: 6, differing: 0" in out
     assert "byte-identical CSV and _agg.csv: 2 of 2 seeds" in out
+
+
+def test_a_rejected_config_fails_the_run(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("m_list = 8\nk = 2\nn_mc = 200\nn_topologies = 1\narea_side_km = 0\n")
+    code = audit_rows.main([str(ROOT), str(ROOT), "--command", "sweep-m", "--config", str(config),
+                            "--seeds", "1-2"])
+    assert code == audit_rows.EXIT_USAGE
+    assert "a tree's run failed" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from cellfree_ee import harness
 from cellfree_ee.cli import EXIT_ALL_INFEASIBLE, EXIT_CONFIG_ERROR, EXIT_OK, main
 from cellfree_ee.harness import (
+    AGGREGATE_HEADER,
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from cellfree_ee.harness import (
     run_topology,
     sweep_m,
     sweep_rho_f,
+    write_outputs,
 )
 from cellfree_ee.inner import InfeasibleStartError
 from cellfree_ee.sca import EE_TOL
@@ -300,6 +302,12 @@ class TestSweeps:
         statuses = [next(r for r in run_point(config, instance, rho) if r.scheme == "ipce").status for rho in powers]
         assert statuses == ["converged"] * 6
 
+    def test_outputs_without_csv_suffix(self, tmp_path):
+        out = str(tmp_path / "rows")
+        assert write_outputs([], out) == (out, out + "_agg.csv")
+        assert (tmp_path / "rows").read_text().startswith(CSV_HEADER)
+        assert (tmp_path / "rows_agg.csv").read_text().startswith(AGGREGATE_HEADER)
+
     def test_aggregate_counts_infeasible(self):
         config = tiny_config(qos="50.0", schemes=("equal", "pce"), n_topologies=1)
         rows = sweep_m(config)
@@ -350,7 +358,7 @@ class TestSweeps:
 
 class TestCli:
     def test_single_prints_csv(self, capsys):
-        code = main(["single", "--schemes", "equal", "--topologies", "1", "--mc", "100"])
+        code = main(["single", "--schemes", "equal", "--mc", "100"])
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert captured.out.startswith(CSV_HEADER)
@@ -373,16 +381,32 @@ class TestCli:
             ("rho_f_w_list = 0.2,inf", []),
             ("qos = nan", []),
             ("", ["--seed", "-1"]),
+            ("k = abc", []),
+            ("tau_u = abc", []),
+            ("m_list = 20,20", []),
+            ("rho_f_w_list = 0.2,0.2", []),
+            ("schemes = ipce,ipce", []),
+            ("", ["--schemes", "pce,pce"]),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, extra):
         # Rejected before the run: left to it, these raise deep inside
-        # (ZeroDivisionError, LinAlgError, ValueError) or give rows of a
-        # meaningless model.
+        # (ZeroDivisionError, LinAlgError, ValueError), give rows of a
+        # meaningless model, or give rows under one key that aggregate_rows
+        # counts as separate runs.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
         assert main(["single", "--config", str(cfg), *extra]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["sweep-m", "--seed", "abc"], ["single", "--topologies", "5"]])
+    def test_usage_error_is_a_config_error(self, capsys, argv):
+        # argparse's own code 2 would read as "every optimized run failed".
+        assert main(argv) == EXIT_CONFIG_ERROR
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["single", "--help"]) == EXIT_OK
+        assert "--topologies" not in capsys.readouterr().out
 
     def test_missing_config_file_exit_code(self):
         assert main(["single", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG_ERROR
@@ -392,7 +416,7 @@ class TestCli:
             raise SingularChannelError("rejection rate 2.00% exceeds 1% (20/1000)")
 
         monkeypatch.setattr(harness, "estimate_zf_statistics", singular)
-        code = main(["single", "--schemes", "equal,ipce", "--topologies", "1", "--mc", "100"])
+        code = main(["single", "--schemes", "equal,ipce", "--mc", "100"])
         lines = capsys.readouterr().out.strip().split("\n")
         assert code == EXIT_ALL_INFEASIBLE
         assert lines[0] == CSV_HEADER

@@ -38,12 +38,14 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 EXIT_OK, EXIT_NEW_BAD_ROWS, EXIT_USAGE = 0, 1, 2
 # Runs in each tree's interpreter: one CSV per master seed. A sweep whose
 # optimized rows are all infeasible returns a nonzero code; that is a result.
+# A rejected config writes no CSV, so it fails the tree's run.
 RUNNER_CODE = """
 import sys
-from cellfree_ee.cli import main
+from cellfree_ee.cli import EXIT_CONFIG_ERROR, main
 command, config, out_dir, *seeds = sys.argv[1:]
 for seed in seeds:
-    main([command, "--config", config, "--seed", seed, "--out", f"{out_dir}/{seed}.csv"])
+    if main([command, "--config", config, "--seed", seed, "--out", f"{out_dir}/{seed}.csv"]) == EXIT_CONFIG_ERROR:
+        sys.exit(EXIT_CONFIG_ERROR)
 """
 
 
