@@ -32,7 +32,7 @@ from .power import (
 from .propagation import generate_topology, large_scale_fading, mmse_stats
 from .reports import STATUS_CONVERGED, STATUS_ERROR
 from .sca import solve_ipce
-from .zfstats import SingularChannelError, ZfStatistics, estimate_zf_statistics
+from .zfstats import ZF_BATCH, SharedNormals, SingularChannelError, ZfStatistics, estimate_zf_statistics
 
 CSV_HEADER = "scheme,M,K,rho_f_w,qos_rule,seed,ee_bits_per_joule,sum_se,iters,status,wall_ms"
 AGGREGATE_HEADER = (
@@ -209,21 +209,27 @@ class Instance:
     zf: ZfStatistics
 
 
-def build_instance(config: ExperimentConfig, m: int, seed: int) -> Instance:
+def build_instance(config: ExperimentConfig, m: int, seed: int, normals: SharedNormals | None = None) -> Instance:
     """Topology, fading, MMSE and zero-forcing statistics for one topology draw.
 
     Nothing here depends on the per-AP transmit power, so one instance serves
     every rho_f of a sweep. Fully deterministic given (config, m, seed).
+    normals, optional, is a SharedNormals stream seeded like the instance's
+    own zero-forcing draws; reading it gives the same instance.
     """
-    ss = np.random.SeedSequence(seed)
-    s_topo, s_shadow, s_zf = ss.spawn(3)
+    s_topo, s_shadow, s_zf = _instance_seeds(seed)
     topo = generate_topology(m, config.k, config.area_side_km, s_topo)
     beta = large_scale_fading(topo, config.sigma_shad_db, config.d_min_km, np.random.default_rng(s_shadow))
     # The same normalization make_power_params applies to the uplink power.
     rho_r = config.rho_r_w / noise_power_watts(config.bandwidth_hz, config.noise_figure_db)
     stats = mmse_stats(beta, rho_r, config.tau_u_samples())
-    zf = estimate_zf_statistics(stats, config.n_mc, np.random.default_rng(s_zf))
+    zf = estimate_zf_statistics(stats, config.n_mc, np.random.default_rng(s_zf) if normals is None else normals)
     return Instance(seed=seed, zf=zf)
+
+
+def _instance_seeds(seed: int) -> list:
+    """Seed sequences of the topology, the shadow fading and the zero-forcing draws."""
+    return np.random.SeedSequence(seed).spawn(3)
 
 
 def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm=None) -> list:
@@ -315,16 +321,28 @@ def sweep_rho_f(config: ExperimentConfig) -> list:
 
 
 def _sweep(config: ExperimentConfig, m_list: list, rho_f_list: list) -> list:
-    """Build each (M, topology) instance once and evaluate every rho_f on it."""
+    """Build each (M, topology) instance once and evaluate every rho_f on it.
+
+    Topologies are the outer loop. An instance at M reads 2 * b * M * K
+    normals per batch of b draws from its topology's stream, so every M reads
+    a prefix of what the largest M reads: one SharedNormals stream per
+    topology serves them all. It pre-draws the largest M's first batch,
+    which that M would allocate at once anyway, and is released before the
+    next topology draws its own.
+    """
     config.validate()
     rows = []
-    for m in m_list:
-        for t in range(config.n_topologies):
-            rows.extend(run_topology(config, m, t, rho_f_list))
+    prefix = 2 * min(ZF_BATCH, config.n_mc) * max(m_list) * config.k
+    for t in range(config.n_topologies):
+        normals = SharedNormals(_instance_seeds(run_seed(config, t))[2], prefix)
+        for m in m_list:
+            rows.extend(run_topology(config, m, t, rho_f_list, normals=normals))
+        del normals  # two prefixes would otherwise be alive while the next one is drawn
     return _sorted_rows(rows)
 
 
-def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_list: list) -> list:
+def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_list: list,
+                 normals: SharedNormals | None = None) -> list:
     """Rows of one (M, topology) instance at every power of rho_f_list, in list order.
 
     The powers are chained: each run_point is warm-started from the power just
@@ -332,11 +350,12 @@ def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_li
     order of the list. The first power and a power after an infeasible or
     error IPCE row cold-start. A SingularChannelError while building the
     instance gives NaN rows with status `error:SingularChannelError` for every
-    power and scheme of the instance.
+    power and scheme of the instance. normals, optional, is passed on to
+    build_instance.
     """
     seed = run_seed(config, topology_index)
     try:
-        instance = build_instance(config, m, seed)
+        instance = build_instance(config, m, seed, normals=normals)
     except SingularChannelError as exc:
         status = f"{STATUS_ERROR}:{type(exc).__name__}"
         nan = float("nan")

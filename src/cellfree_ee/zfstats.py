@@ -13,6 +13,8 @@ error expectation is taken analytically, which lowers the estimator variance.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,8 @@ from .propagation import MmseStats, _complex_from_normals
 CONDITION_LIMIT = 1e10
 # Precoder identity G_hat^T B = I must hold to this tolerance on every draw.
 ZF_IDENTITY_TOL = 1e-8
+# Draws per Monte-Carlo batch: each batch takes its normals in one call.
+ZF_BATCH = 512
 # Complex draws per zero-forcing chunk, in bytes: a chunk and its temporaries
 # stay in cache, where a whole batch would stream through memory.
 CHUNK_BYTES = 1 << 20
@@ -30,6 +34,44 @@ CHUNK_BYTES = 1 << 20
 
 class SingularChannelError(RuntimeError):
     """Estimated channel too close to rank deficiency for zero forcing."""
+
+
+class SharedNormals:
+    """One standard-normal stream that any number of readers read from its start.
+
+    A reader returns exactly what rng.standard_normal would for the same
+    sequence of shapes, because Generator fills its output value by value in
+    order. The first `prefix` values are drawn once and served as read-only
+    views; past them, each reader draws from its own copy of the generator,
+    advanced to the end of the prefix. So no position is drawn twice for the
+    prefix, and memory beyond it stays that of a single caller.
+    """
+
+    def __init__(self, rng, prefix: int):
+        self._rng = np.random.default_rng(rng)
+        self._prefix = self._rng.standard_normal(prefix)
+        self._prefix.flags.writeable = False
+
+    def reader(self):
+        """A draw callable, shape -> array, reading the stream from position 0."""
+        prefix = self._prefix
+        pos = 0
+        rng = None
+
+        def draw(shape):
+            nonlocal pos, rng
+            start, pos = pos, pos + math.prod(shape)
+            if pos <= prefix.size:
+                return prefix[start:pos].reshape(shape)
+            out = np.empty(pos - start)
+            head = prefix[start:]
+            out[: head.size] = head
+            if rng is None:
+                rng = copy.deepcopy(self._rng)
+            rng.standard_normal(out=out[head.size :])
+            return out.reshape(shape)
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -71,10 +113,12 @@ def zf_matrix(g_hat: np.ndarray) -> np.ndarray:
     return precoder[0]
 
 
-def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 512) -> ZfStatistics:
+def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = ZF_BATCH) -> ZfStatistics:
     """Estimate gamma and theta over n_mc independent channel draws.
 
-    Singular draws (Gram condition number above CONDITION_LIMIT) are redrawn
+    rng is a seed, a Generator, or a SharedNormals stream, which gives the
+    same result as a Generator seeded alike while sharing its draws with the
+    other readers of the stream. Singular draws (Gram condition number above CONDITION_LIMIT) are redrawn
     and counted; the estimation aborts if more than 1% of attempts are
     rejected. Requires M > K so the Gram matrix is invertible almost surely.
 
@@ -85,7 +129,7 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 5
         raise ValueError(f"need M > K for invertibility, got M={m}, K={k}")
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    rng = np.random.default_rng(rng)
+    draw = rng.reader() if isinstance(rng, SharedNormals) else np.random.default_rng(rng).standard_normal
 
     # theta, theta squared, gamma, gamma squared: running totals, and the sums
     # of the current batch carried across its chunks.
@@ -94,7 +138,7 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = 5
     accepted = 0
     attempts = 0
 
-    for precoder, _, drawn, batch_done in _zf_batches(stats, n_mc, rng, batch_size):
+    for precoder, _, drawn, batch_done in _zf_batches(stats, n_mc, draw, batch_size):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
@@ -131,7 +175,7 @@ def validate_sinr(
     rho_f: float,
     n_mc: int,
     rng,
-    batch_size: int = 512,
+    batch_size: int = ZF_BATCH,
 ) -> SinrValidation:
     """Measure per-user desired and interference powers at the signal level.
 
@@ -157,7 +201,7 @@ def validate_sinr(
     accepted = 0
     precoders, errors = [], []
 
-    for chunk, chunk_err, _, batch_done in _zf_batches(stats, n_mc, rng, batch_size, with_error=True):
+    for chunk, chunk_err, _, batch_done in _zf_batches(stats, n_mc, rng.standard_normal, batch_size, with_error=True):
         precoders.append(chunk)
         errors.append(chunk_err)
         if not batch_done:
@@ -184,11 +228,11 @@ def validate_sinr(
     )
 
 
-def _zf_batches(stats: MmseStats, n_mc: int, rng, batch_size: int, with_error: bool = False):
+def _zf_batches(stats: MmseStats, n_mc: int, draw, batch_size: int, with_error: bool = False):
     """Accepted zero-forcing draws, chunk by chunk, until n_mc draws are accepted.
 
     Each batch draws the normals of g_hat, then of g_err when with_error is
-    set, with one rng call each, and runs _batched_zf on chunks of at most
+    set, with one call each of draw (shape -> standard normals), and runs _batched_zf on chunks of at most
     CHUNK_BYTES of complex draws (at least one draw). Yields
     (precoder, g_err, drawn, batch_done) per chunk: g_err of the accepted
     draws or None, the number of draws attempted in the chunk, and whether
@@ -204,8 +248,8 @@ def _zf_batches(stats: MmseStats, n_mc: int, rng, batch_size: int, with_error: b
     max_attempts = 2 * n_mc + 1000
     while accepted < n_mc:
         b = min(batch_size, n_mc - accepted)
-        normals_hat = rng.standard_normal((2, b, m, k))
-        normals_err = rng.standard_normal((2, b, m, k)) if with_error else None
+        normals_hat = draw((2, b, m, k))
+        normals_err = draw((2, b, m, k)) if with_error else None
         attempts += b
         for start in range(0, b, chunk):
             stop = min(start + chunk, b)

@@ -356,6 +356,48 @@ class TestSweeps:
             assert line.split(",")[5:8] == ["2", "1", "1"]
 
 
+def _per_instance_rows(config):
+    """sweep_m's rows from one run_topology call per (M, topology), each drawing its own normals."""
+    rows = [r for t in range(config.n_topologies) for m in config.m_list
+            for r in run_topology(config, m, t, config.rho_f_w_list[:1])]
+    return sorted(rows, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
+
+
+class TestSharedNormalsSweep:
+    # Every M of a topology reads one normal stream; the rows must be those of
+    # instances that draw their normals alone.
+    @pytest.mark.parametrize("config", [
+        tiny_config(m_list=[6, 12, 20]),
+        # n_mc = 1500 > ZF_BATCH: every M reads past the pre-drawn first batch.
+        ExperimentConfig(m_list=[8, 12, 16], k=2, n_mc=1500, n_topologies=2, master_seed=300001),
+    ], ids=["tiny", "k2-past-prefix"])
+    def test_rows_equal_per_instance_draws(self, config):
+        rows, want = sweep_m(config), _per_instance_rows(config)
+        assert rows == want
+        assert rows_to_csv(rows) == rows_to_csv(want)
+
+    def test_singular_instance_leaves_the_others_unchanged(self, monkeypatch):
+        config = tiny_config(m_list=[6, 12, 20])
+        clean = _per_instance_rows(config)
+        estimate = harness.estimate_zf_statistics
+        calls_at_12 = []
+
+        def singular_second_at_12(stats, *args, **kwargs):
+            if stats.shape[0] == 12:
+                calls_at_12.append(None)
+                if len(calls_at_12) == 2:  # topology 1
+                    raise SingularChannelError("rejection rate 2.00% exceeds 1% (20/1000)")
+            return estimate(stats, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_zf_statistics", singular_second_at_12)
+        rows = sweep_m(config)
+        bad = (12, run_seed(config, 1))
+        failed = [r for r in rows if (r.m, r.seed) == bad]
+        assert len(failed) == len(config.schemes)
+        assert all(r.status == "error:SingularChannelError" and np.isnan(r.ee_bits_per_joule) for r in failed)
+        assert [r for r in rows if (r.m, r.seed) != bad] == [r for r in clean if (r.m, r.seed) != bad]
+
+
 class TestCli:
     def test_single_prints_csv(self, capsys):
         code = main(["single", "--schemes", "equal", "--mc", "100"])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree_ee import zfstats
 from cellfree_ee.propagation import MmseStats, mmse_stats
 from cellfree_ee.zfstats import (
     CONDITION_LIMIT,
+    SharedNormals,
     SingularChannelError,
     _batched_zf,
     estimate_zf_statistics,
@@ -321,6 +324,45 @@ class TestBitwiseAgainstPerBatchLoop:
         assert np.array_equal(out.interference, interference)
         assert np.array_equal(out.interference_se, interference_se)
         assert out.n_realizations == n == 3000
+
+    def test_shared_stream_matches(self, monkeypatch):
+        # A stream whose prefix is the first batch at a larger M: the reader
+        # serves the first batches from it and draws the rest, the redrawn
+        # second batch included, past its end.
+        stats = _stats(17, 16, seed=2)
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 7e3)
+        got = estimate_zf_statistics(stats, 3000, SharedNormals(8, 2 * 512 * 40 * 16))
+        _assert_same_statistics(got, _oracle_estimate(stats, 3000, np.random.default_rng(8)))
+
+
+_SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), max_size=6)
+
+
+class TestSharedNormals:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), prefix=st.integers(0, 40), first=_SHAPES, second=_SHAPES,
+           order=st.lists(st.booleans(), max_size=12))
+    def test_each_reader_reads_the_generator_stream(self, seed, prefix, first, second, order):
+        # Two readers drawing in any interleaving, with shapes that end
+        # before, at or across the end of the prefix, each read the stream
+        # of a fresh Generator from its start.
+        stream = SharedNormals(seed, prefix)
+        readers = [(stream.reader(), list(first), []), (stream.reader(), list(second), [])]
+        for pick in order + [False] * len(first) + [True] * len(second):
+            draw, shapes, got = readers[pick]
+            if shapes:
+                shape = shapes.pop(0)
+                values = draw(shape)
+                assert values.shape == shape
+                got.append(values.ravel())
+        for _, _, got in readers:
+            values = np.concatenate(got) if got else np.empty(0)
+            assert np.array_equal(values, np.random.default_rng(seed).standard_normal(values.size))
+
+    def test_prefix_views_are_read_only(self):
+        draw = SharedNormals(3, 10).reader()
+        with pytest.raises(ValueError):
+            draw((2, 3))[0, 0] = 1.0
 
 
 def _grams_with_condition(kappas, k=4, seed=3):
