@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +60,23 @@ def test_a_rejected_config_fails_the_run(tmp_path, capsys):
                             "--seeds", "1-2"])
     assert code == audit_rows.EXIT_USAGE
     assert "a tree's run failed" in capsys.readouterr().err
+
+
+def test_identical_fails_on_an_altered_row(tmp_path, capsys):
+    # The altered tree writes wall_ms as 1: the row comparison ignores that
+    # field, so only --identical sees that the files differ.
+    config = tmp_path / "tiny.cfg"
+    config.write_text("m_list = 8\nk = 2\nrho_f_w_list = 0.2\nn_mc = 200\nn_topologies = 1\n")
+    altered = tmp_path / "altered"
+    shutil.copytree(ROOT / "src", altered / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    harness = altered / "src" / "cellfree_ee" / "harness.py"
+    source = harness.read_text()
+    assert source.count('"0",  # wall_ms') == 1
+    harness.write_text(source.replace('"0",  # wall_ms', '"1",  # wall_ms'))
+    args = ["--command", "sweep-m", "--config", str(config), "--seeds", "5", "--identical"]
+    assert audit_rows.main([str(ROOT), str(ROOT), *args]) == audit_rows.EXIT_OK
+    capsys.readouterr()
+    assert audit_rows.main([str(ROOT), str(altered), *args]) == audit_rows.EXIT_NEW_BAD_ROWS
+    out = capsys.readouterr().out
+    assert "rows compared: 3, differing: 0" in out
+    assert "byte-identical CSV and _agg.csv: 0 of 1 seeds" in out

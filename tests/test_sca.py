@@ -348,6 +348,26 @@ def test_optimized_ee_at_least_equal_power(k, extra_aps, seed, p_tx_watts, fract
         assert energy_efficiency(alloc.eta, view, params) >= energy_efficiency(eq, view, params) * (1.0 - tol)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    fraction=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_perfect_csi_ee_at_least_imperfect(k, extra_aps, seed, p_tx_watts, fraction):
+    # The IPCE optimum meets every PCE row (interference only lowers a rate),
+    # and its EE rises when the interference is zeroed, so the PCE optimum,
+    # found to GAP_TOL, is at least the IPCE EE.
+    _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    qos = loose_qos(zf, params, fraction)
+    pce, _ = solve_pce(zf, params, qos)
+    ipce, _ = solve_ipce(zf, params, qos)
+    ee_ipce = energy_efficiency(ipce.eta, zf, params)
+    assert energy_efficiency(pce.eta, perfect_view(zf), params) >= ee_ipce * (1.0 - GAP_TOL)
+
+
 def test_ascent_violations_count_falls_in_the_trajectory():
     assert SolveReport(ee_trajectory=[1.0, 0.5, 0.6]).ascent_violations == 1
     assert SolveReport(ee_trajectory=[1.0, 1.0 - 1e-9, 2.0]).ascent_violations == 0

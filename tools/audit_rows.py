@@ -15,10 +15,12 @@ status transitions with counts, the largest relative EE change per scheme
 fall, the iteration changes, and every row that newly became NaN, `error:*`
 or `infeasible`. A last line counts the master seeds whose CSV and `_agg.csv`
 files are byte-identical between the trees; the row comparison alone misses
-a change in `wall_ms` or in the aggregate file.
+a change in `wall_ms` or in the aggregate file. With `--identical`, any seed
+whose files differ fails the audit.
 
-Exit codes: 0 no row newly bad, 1 some row newly bad or a row missing on one
-side, 2 usage error or a tree's run failed.
+Exit codes: 0 no row newly bad (and, with --identical, every seed's files
+byte-identical), 1 some row newly bad, a row missing on one side, or with
+--identical some seed's files differing, 2 usage error or a tree's run failed.
 """
 
 from __future__ import annotations
@@ -155,6 +157,8 @@ def main(argv=None) -> int:
     parser.add_argument("--command", required=True, choices=("sweep-m", "sweep-rhof", "single"))
     parser.add_argument("--config", required=True, type=Path, help="key=value config file, read only")
     parser.add_argument("--seeds", required=True, help="inclusive master-seed range, such as 300000-300099")
+    parser.add_argument("--identical", action="store_true",
+                        help="fail unless every seed's CSV and _agg.csv are byte-identical between the trees")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -184,6 +188,7 @@ def main(argv=None) -> int:
     print(f"{args.command} {config.name} master seeds {seeds[0]}-{seeds[-1]}")
     print("\n".join(lines))
     print(f"byte-identical CSV and _agg.csv: {identical} of {len(seeds)} seeds")
+    failed = failed or (args.identical and identical < len(seeds))
     return EXIT_NEW_BAD_ROWS if failed else EXIT_OK
 
 
