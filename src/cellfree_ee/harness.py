@@ -403,7 +403,12 @@ def rows_to_csv(rows: list) -> str:
 
 
 def aggregate_rows(rows: list) -> str:
-    """Per-point means and standard errors over successfully solved runs."""
+    """Per-point means and standard errors over successfully solved runs.
+
+    n_converged counts the rows whose status is `converged`, n_failed the
+    rows with a NaN EE; a row that stopped short (`max-iter`) is in
+    neither, but its finite EE enters the means.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(AGGREGATE_HEADER.split(","))
@@ -427,7 +432,7 @@ def aggregate_rows(rows: list) -> str:
                 _fmt(rho_f_w),
                 members[0].qos_rule,
                 len(members),
-                len(solved),
+                sum(r.status == STATUS_CONVERGED for r in members),
                 n_failed,
                 _fmt(ee_mean),
                 _fmt(ee_stderr),

@@ -317,6 +317,17 @@ class TestSweeps:
         assert fields[5] == "1" and fields[6] == "0" and fields[7] == "1"
         assert fields[8] == "nan"
 
+    def test_aggregate_counts_only_converged_rows_as_converged(self):
+        nan = float("nan")
+        rows = [
+            harness._row(tiny_config(), 12, 0.2, seed, "ipce", ee_bits_per_joule=ee, sum_se=se, iters=3, status=status)
+            for seed, ee, se, status in ((1, 2.0e6, 4.0, "converged"), (2, 1.0e6, 2.0, "max-iter"),
+                                          (3, nan, nan, "infeasible"))
+        ]
+        fields = aggregate_rows(rows).splitlines()[1].split(",")
+        assert fields[5:8] == ["3", "1", "1"]
+        assert fields[8] == "1500000"  # the max-iter row's EE enters the mean
+
     def test_raising_solve_becomes_an_error_row(self, monkeypatch):
         config = tiny_config()
         clean = sweep_m(config)
