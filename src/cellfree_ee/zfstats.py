@@ -40,11 +40,11 @@ class SharedNormals:
     """One standard-normal stream that any number of readers read from its start.
 
     A reader returns exactly what rng.standard_normal would for the same
-    sequence of shapes, because Generator fills its output value by value in
-    order. The first `prefix` values are drawn once and served as read-only
-    views; past them, each reader draws from its own copy of the generator,
-    advanced to the end of the prefix. So no position is drawn twice for the
-    prefix, and memory beyond it stays that of a single caller.
+    sequence of shapes: a Generator fills its output value by value, so a
+    draw split into pieces equals one call. The first `prefix` values are
+    drawn once and served as read-only views. Past them, each reader draws
+    from its own copy of the generator, advanced to the end of the prefix, so
+    memory beyond the prefix is that of a lone caller.
     """
 
     def __init__(self, rng, prefix: int):
@@ -118,9 +118,10 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = Z
 
     rng is a seed, a Generator, or a SharedNormals stream, which gives the
     same result as a Generator seeded alike while sharing its draws with the
-    other readers of the stream. Singular draws (Gram condition number above CONDITION_LIMIT) are redrawn
-    and counted; the estimation aborts if more than 1% of attempts are
-    rejected. Requires M > K so the Gram matrix is invertible almost surely.
+    other readers of the stream. Singular draws (Gram condition number above
+    CONDITION_LIMIT) are redrawn and counted; the estimation aborts if more
+    than 1% of attempts are rejected. Requires M > K so the Gram matrix is
+    invertible almost surely.
 
     Returns the means together with their standard errors.
     """
@@ -232,8 +233,9 @@ def _zf_batches(stats: MmseStats, n_mc: int, draw, batch_size: int, with_error: 
     """Accepted zero-forcing draws, chunk by chunk, until n_mc draws are accepted.
 
     Each batch draws the normals of g_hat, then of g_err when with_error is
-    set, with one call each of draw (shape -> standard normals), and runs _batched_zf on chunks of at most
-    CHUNK_BYTES of complex draws (at least one draw). Yields
+    set, with one call each of draw (shape -> standard normals), and runs
+    _batched_zf on chunks of at most CHUNK_BYTES of complex draws (at least
+    one draw). Yields
     (precoder, g_err, drawn, batch_done) per chunk: g_err of the accepted
     draws or None, the number of draws attempted in the chunk, and whether
     the chunk ends its batch. Raises SingularChannelError once more than

@@ -331,7 +331,7 @@ class TestBitwiseAgainstPerBatchLoop:
         # second batch included, past its end.
         stats = _stats(17, 16, seed=2)
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 7e3)
-        got = estimate_zf_statistics(stats, 3000, SharedNormals(8, 2 * 512 * 40 * 16))
+        got = estimate_zf_statistics(stats, 3000, SharedNormals(8, 2 * zfstats.ZF_BATCH * 40 * 16))
         _assert_same_statistics(got, _oracle_estimate(stats, 3000, np.random.default_rng(8)))
 
 
