@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-rhof":
             rows = sweep_rho_f(config)
         else:
-            rows = run_topology(config, config.m_list[0], 0, config.rho_f_w_list[:1])
+            rows = run_topology(config, config.m_list[:1], 0, config.rho_f_w_list[:1])
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

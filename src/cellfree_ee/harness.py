@@ -214,8 +214,9 @@ def build_instance(config: ExperimentConfig, m: int, seed: int, normals: SharedN
 
     Nothing here depends on the per-AP transmit power, so one instance serves
     every rho_f of a sweep. Fully deterministic given (config, m, seed).
-    normals, optional, is a SharedNormals stream seeded like the instance's
-    own zero-forcing draws; reading it gives the same instance.
+    normals, optional, is a SharedNormals stream built from the same seed's
+    zero-forcing seed, as run_topology builds it; reading it gives the same
+    instance as drawing alone.
     """
     s_topo, s_shadow, s_zf = _instance_seeds(seed)
     topo = generate_topology(m, config.k, config.area_side_km, s_topo)
@@ -321,56 +322,52 @@ def sweep_rho_f(config: ExperimentConfig) -> list:
 
 
 def _sweep(config: ExperimentConfig, m_list: list, rho_f_list: list) -> list:
-    """Build each (M, topology) instance once and evaluate every rho_f on it.
-
-    Topologies are the outer loop. An instance at M reads 2 * b * M * K
-    normals per batch of b draws from its topology's stream, so every M reads
-    a prefix of what the largest M reads: one SharedNormals stream per
-    topology serves them all. It pre-draws the largest M's first batch,
-    which that M would allocate at once anyway, and is released before the
-    next topology draws its own.
-    """
+    """Every topology's rows over m_list and rho_f_list, sorted."""
     config.validate()
     rows = []
-    prefix = 2 * min(ZF_BATCH, config.n_mc) * max(m_list) * config.k
     for t in range(config.n_topologies):
-        normals = SharedNormals(_instance_seeds(run_seed(config, t))[2], prefix)
-        for m in m_list:
-            rows.extend(run_topology(config, m, t, rho_f_list, normals=normals))
-        del normals  # two prefixes would otherwise be alive while the next one is drawn
+        rows.extend(run_topology(config, m_list, t, rho_f_list))
     return _sorted_rows(rows)
 
 
-def run_topology(config: ExperimentConfig, m: int, topology_index: int, rho_f_list: list,
-                 normals: SharedNormals | None = None) -> list:
-    """Rows of one (M, topology) instance at every power of rho_f_list, in list order.
+def run_topology(config: ExperimentConfig, m_list: list, topology_index: int, rho_f_list: list) -> list:
+    """Rows of one topology at every AP count of m_list and every power of rho_f_list.
 
-    The powers are chained: each run_point is warm-started from the power just
-    before it in the list when its IPCE row holds an allocation, whatever the
-    order of the list. The first power and a power after an infeasible or
-    error IPCE row cold-start. A SingularChannelError while building the
-    instance gives NaN rows with status `error:SingularChannelError` for every
-    power and scheme of the instance. normals, optional, is passed on to
-    build_instance.
+    An instance at M reads 2 * b * M * K normals per batch of b draws from
+    its topology's zero-forcing stream, so every M reads a prefix of what
+    the largest M reads: one SharedNormals stream serves them all. It
+    pre-draws the largest M's first batch, which that M would allocate at
+    once anyway, and is released when the call returns.
+
+    At each M the powers are chained in list order: each run_point is
+    warm-started from the power just before it when its IPCE row holds an
+    allocation. The first power and a power after an infeasible or error
+    IPCE row cold-start. A SingularChannelError while building an instance
+    gives NaN rows with status `error:SingularChannelError` for every power
+    and scheme at that M only.
     """
     seed = run_seed(config, topology_index)
-    try:
-        instance = build_instance(config, m, seed, normals=normals)
-    except SingularChannelError as exc:
-        status = f"{STATUS_ERROR}:{type(exc).__name__}"
-        nan = float("nan")
-        return [
-            _row(config, m, rho, seed, scheme, ee_bits_per_joule=nan, sum_se=nan, iters=0, status=status)
-            for rho in rho_f_list
-            for scheme in config.schemes
-        ]
+    prefix = 2 * min(ZF_BATCH, config.n_mc) * max(m_list) * config.k
+    normals = SharedNormals(_instance_seeds(seed)[2], prefix)
     rows = []
-    warm = None
-    for rho_f_w in rho_f_list:
-        point = run_point(config, instance, rho_f_w, warm=warm)
-        rows.extend(point)
-        ipce = next((r for r in point if r.scheme == "ipce" and r.eta is not None), None)
-        warm = None if ipce is None else (rho_f_w, ipce.eta)
+    for m in m_list:
+        try:
+            instance = build_instance(config, m, seed, normals)
+        except SingularChannelError as exc:
+            status = f"{STATUS_ERROR}:{type(exc).__name__}"
+            nan = float("nan")
+            rows.extend(
+                _row(config, m, rho, seed, scheme, ee_bits_per_joule=nan, sum_se=nan, iters=0, status=status)
+                for rho in rho_f_list
+                for scheme in config.schemes
+            )
+            continue
+        warm = None
+        for rho_f_w in rho_f_list:
+            point = run_point(config, instance, rho_f_w, warm=warm)
+            rows.extend(point)
+            ipce = next((r for r in point if r.scheme == "ipce" and r.eta is not None), None)
+            warm = None if ipce is None else (rho_f_w, ipce.eta)
     return rows
 
 

@@ -113,7 +113,7 @@ def zf_matrix(g_hat: np.ndarray) -> np.ndarray:
     return precoder[0]
 
 
-def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = ZF_BATCH) -> ZfStatistics:
+def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng) -> ZfStatistics:
     """Estimate gamma and theta over n_mc independent channel draws.
 
     rng is a seed, a Generator, or a SharedNormals stream, which gives the
@@ -139,7 +139,7 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng, batch_size: int = Z
     accepted = 0
     attempts = 0
 
-    for precoder, _, drawn, batch_done in _zf_batches(stats, n_mc, draw, batch_size):
+    for precoder, _, drawn, batch_done in _zf_batches(stats, n_mc, draw):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
@@ -176,7 +176,6 @@ def validate_sinr(
     rho_f: float,
     n_mc: int,
     rng,
-    batch_size: int = ZF_BATCH,
 ) -> SinrValidation:
     """Measure per-user desired and interference powers at the signal level.
 
@@ -202,7 +201,7 @@ def validate_sinr(
     accepted = 0
     precoders, errors = [], []
 
-    for chunk, chunk_err, _, batch_done in _zf_batches(stats, n_mc, rng.standard_normal, batch_size, with_error=True):
+    for chunk, chunk_err, _, batch_done in _zf_batches(stats, n_mc, rng.standard_normal, with_error=True):
         precoders.append(chunk)
         errors.append(chunk_err)
         if not batch_done:
@@ -229,17 +228,17 @@ def validate_sinr(
     )
 
 
-def _zf_batches(stats: MmseStats, n_mc: int, draw, batch_size: int, with_error: bool = False):
+def _zf_batches(stats: MmseStats, n_mc: int, draw, with_error: bool = False):
     """Accepted zero-forcing draws, chunk by chunk, until n_mc draws are accepted.
 
-    Each batch draws the normals of g_hat, then of g_err when with_error is
-    set, with one call each of draw (shape -> standard normals), and runs
-    _batched_zf on chunks of at most CHUNK_BYTES of complex draws (at least
-    one draw). Yields
-    (precoder, g_err, drawn, batch_done) per chunk: g_err of the accepted
-    draws or None, the number of draws attempted in the chunk, and whether
-    the chunk ends its batch. Raises SingularChannelError once more than
-    2 * n_mc + 1000 draws have been attempted.
+    Each batch of at most ZF_BATCH draws takes the normals of g_hat, then of
+    g_err when with_error is set, with one call each of draw (shape ->
+    standard normals), and runs _batched_zf on chunks of at most CHUNK_BYTES
+    of complex draws (at least one draw). Yields (precoder, g_err, drawn,
+    batch_done) per chunk: g_err of the accepted draws or None, the number
+    of draws attempted in the chunk, and whether the chunk ends its batch.
+    Raises SingularChannelError once more than 2 * n_mc + 1000 draws have
+    been attempted.
     """
     m, k = stats.shape
     chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
@@ -249,7 +248,7 @@ def _zf_batches(stats: MmseStats, n_mc: int, draw, batch_size: int, with_error: 
     attempts = 0
     max_attempts = 2 * n_mc + 1000
     while accepted < n_mc:
-        b = min(batch_size, n_mc - accepted)
+        b = min(ZF_BATCH, n_mc - accepted)
         normals_hat = draw((2, b, m, k))
         normals_err = draw((2, b, m, k)) if with_error else None
         attempts += b

@@ -212,7 +212,7 @@ class TestSweeps:
         # start then steps towards it only as far as every row allows.
         config, instance = self._benchmark_seed_instance()
         config = dataclasses.replace(config, rho_f_w_list=config.rho_f_w_list[::-1], schemes=("ipce",))
-        chained = run_topology(config, 100, 0, config.rho_f_w_list)
+        chained = run_topology(config, [100], 0, config.rho_f_w_list)
         cold = [run_point(config, instance, rho)[0] for rho in config.rho_f_w_list]
         assert [r.status for r in chained] == ["converged"] * len(cold)
         assert sum(r.iters for r in chained) < sum(r.iters for r in cold)
@@ -238,7 +238,7 @@ class TestSweeps:
         # A 1.0 bit/s/Hz floor cannot be met at 0.01 W but can at 0.2 W.
         config = tiny_config(rho_f_w_list=[0.01, 0.2, 0.4], qos="1.0", n_topologies=1)
         warms = self._spy_ipce(monkeypatch)
-        rows = run_topology(config, 12, 0, config.rho_f_w_list)
+        rows = run_topology(config, [12], 0, config.rho_f_w_list)
         ipce = [r for r in rows if r.scheme == "ipce"]
         assert [r.status for r in ipce] == ["infeasible", "converged", "converged"]
         assert warms[0] is None and warms[1] is None and warms[2] is not None
@@ -248,7 +248,7 @@ class TestSweeps:
     def test_power_after_error_row_cold_starts(self, monkeypatch):
         config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=1)
         warms = self._spy_ipce(monkeypatch, fail_first=True)
-        rows = run_topology(config, 12, 0, config.rho_f_w_list)
+        rows = run_topology(config, [12], 0, config.rho_f_w_list)
         ipce = [r for r in rows if r.scheme == "ipce"]
         assert ipce[0].status == "error:InfeasibleStartError"
         assert warms[1] is None and warms[2] is not None
@@ -271,7 +271,7 @@ class TestSweeps:
         config = ExperimentConfig(m_list=[100], k=16, rho_f_w_list=[round(0.2 * i, 1) for i in range(1, 12)],
                                   qos="equal-power-rate", n_mc=400, n_topologies=1, master_seed=300000,
                                   schemes=("ipce",))
-        chained = run_topology(config, 100, 0, config.rho_f_w_list)
+        chained = run_topology(config, [100], 0, config.rho_f_w_list)
         instance = build_instance(config, 100, run_seed(config, 0))
         cold = [run_point(config, instance, rho)[0] for rho in config.rho_f_w_list]
         assert [r.status for r in chained] == ["converged"] * len(cold)
@@ -368,9 +368,9 @@ class TestSweeps:
 
 
 def _per_instance_rows(config):
-    """sweep_m's rows from one run_topology call per (M, topology), each drawing its own normals."""
+    """sweep_m's rows from one instance per (M, topology), each drawing its own normals."""
     rows = [r for t in range(config.n_topologies) for m in config.m_list
-            for r in run_topology(config, m, t, config.rho_f_w_list[:1])]
+            for r in run_point(config, build_instance(config, m, run_seed(config, t)), config.rho_f_w_list[0])]
     return sorted(rows, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
 
 

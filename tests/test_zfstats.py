@@ -94,8 +94,8 @@ class TestEstimateZfStatistics:
         stats = _stats(2, 1, seed=5)
         ss = np.random.SeedSequence(77)
         s1, s2 = ss.spawn(2)
-        a = estimate_zf_statistics(stats, 1_000_000, np.random.default_rng(s1), batch_size=20_000)
-        b = estimate_zf_statistics(stats, 1_000_000, np.random.default_rng(s2), batch_size=20_000)
+        a = estimate_zf_statistics(stats, 1_000_000, np.random.default_rng(s1))
+        b = estimate_zf_statistics(stats, 1_000_000, np.random.default_rng(s2))
         combined = np.sqrt(a.theta_se**2 + b.theta_se**2)
         assert np.all(np.abs(a.theta - b.theta) <= 3.0 * combined)
         assert np.all(combined > 0.0)
@@ -285,9 +285,10 @@ class TestBitwiseAgainstPerBatchLoop:
         "m, k, n_mc, batch_size",
         [(120, 16, 500, 512), (100, 16, 400, 512), (20, 16, 1100, 512), (13, 4, 1000, 100), (16, 2, 10000, 512)],
     )
-    def test_estimate_matches(self, m, k, n_mc, batch_size):
+    def test_estimate_matches(self, monkeypatch, m, k, n_mc, batch_size):
         stats = _stats(m, k, seed=m + k)
-        got = estimate_zf_statistics(stats, n_mc, np.random.default_rng(5), batch_size=batch_size)
+        monkeypatch.setattr(zfstats, "ZF_BATCH", batch_size)
+        got = estimate_zf_statistics(stats, n_mc, np.random.default_rng(5))
         want = _oracle_estimate(stats, n_mc, np.random.default_rng(5), batch_size=batch_size)
         _assert_same_statistics(got, want)
 
