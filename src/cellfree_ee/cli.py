@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -65,21 +66,22 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG_ERROR
     try:
         config = _load_config(args)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out directory {os.path.dirname(args.out)!r} does not exist")
         if args.command == "sweep-m":
             rows = sweep_m(config)
         elif args.command == "sweep-rhof":
             rows = sweep_rho_f(config)
         else:
             rows = run_topology(config, config.m_list[:1], 0, config.rho_f_w_list[:1])
+        if args.out:
+            out_path, agg_path = write_outputs(rows, args.out)
+            print(f"wrote {out_path} and {agg_path}")
+        else:
+            sys.stdout.write(rows_to_csv(rows))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    if args.out:
-        out_path, agg_path = write_outputs(rows, args.out)
-        print(f"wrote {out_path} and {agg_path}")
-    else:
-        sys.stdout.write(rows_to_csv(rows))
 
     optimized = [r for r in rows if r.scheme != "equal"]
     if optimized and all(r.failed for r in optimized):

@@ -136,9 +136,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        """Read `key = value` lines; each key is a field, parsed by its annotation."""
+        """Read `key = value` lines; each key is a field, parsed by its annotation, and appears once."""
         parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls)}
         config = cls()
+        seen = {}
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -149,6 +150,9 @@ class ExperimentConfig:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in parsers:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in seen:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+                seen[key] = lineno
                 try:
                     setattr(config, key, parsers[key](value))
                 except ValueError as exc:

@@ -97,22 +97,19 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class QosSpec:
-    """Per-user spectral-efficiency floors and the derived pre-log-free floors."""
+    """Per-user spectral-efficiency floors and the floors derived from them."""
 
     r_bar: np.ndarray  # (K,), bits/s/Hz
-    r_tilde: np.ndarray = None  # r_bar * tau / (tau - tau_u)
+    r_tilde: np.ndarray  # r_bar * tau / (tau - tau_u), the pre-log-free floors
+    sinr_floor: np.ndarray  # 2^r_tilde - 1, the minimum SINR
 
     @classmethod
     def from_floor(cls, r_bar, params: PowerParams) -> "QosSpec":
         r_bar = np.atleast_1d(np.asarray(r_bar, dtype=float))
         if np.any(r_bar < 0):
             raise ValueError("QoS floors must be nonnegative")
-        return cls(r_bar=r_bar, r_tilde=r_bar * params.tau / (params.tau - params.tau_u))
-
-    @property
-    def sinr_floor(self) -> np.ndarray:
-        """Minimum SINR implied by the floors: 2^r_tilde - 1."""
-        return 2.0**self.r_tilde - 1.0
+        r_tilde = r_bar * params.tau / (params.tau - params.tau_u)
+        return cls(r_bar=r_bar, r_tilde=r_tilde, sinr_floor=2.0**r_tilde - 1.0)
 
 
 def per_user_rate(eta: np.ndarray, gamma: np.ndarray, params: PowerParams) -> np.ndarray:

@@ -117,6 +117,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             ExperimentConfig.from_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # Left to the last line, a repeated key silently overrides the first.
+        path = tmp_path / "twice.cfg"
+        path.write_text("n_mc = 50\n# comment\nn_mc = 60\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"twice.cfg:3: key 'n_mc' repeats line 1"):
+            ExperimentConfig.from_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just words\n", encoding="utf-8")
@@ -387,6 +394,21 @@ class TestSharedNormalsSweep:
         assert rows == want
         assert rows_to_csv(rows) == rows_to_csv(want)
 
+    # n_mc = 1500 > ZF_BATCH: the instance reads past the pre-drawn first batch.
+    @pytest.mark.parametrize("n_mc", [150, 1500])
+    def test_single_equals_first_power_of_sweep_rhof(self, tmp_path, n_mc):
+        # single runs the sweeps' path: its rows are topology 0's at the
+        # first power, which is a cold solve in every sweep.
+        config = tiny_config(m_list=[12, 20], rho_f_w_list=[0.2, 0.4], n_mc=n_mc)
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text(f"m_list = 12,20\nk = 3\nrho_f_w_list = 0.2,0.4\nn_topologies = 2\nn_mc = {n_mc}\n"
+                       "master_seed = 11\n", encoding="utf-8")
+        out = tmp_path / "single.csv"
+        assert main(["single", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        want = [r for r in sweep_rho_f(config) if r.seed == run_seed(config, 0) and r.rho_f_w == 0.2]
+        assert len(want) == len(config.schemes)
+        assert out.read_text(encoding="utf-8") == rows_to_csv(want)
+
     def test_singular_instance_leaves_the_others_unchanged(self, monkeypatch):
         config = tiny_config(m_list=[6, 12, 20])
         clean = _per_instance_rows(config)
@@ -440,6 +462,7 @@ class TestCli:
             ("rho_f_w_list = 0.2,0.2", []),
             ("schemes = ipce,ipce", []),
             ("", ["--schemes", "pce,pce"]),
+            ("n_mc = 50\nn_mc = 60", []),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, extra):
@@ -460,6 +483,18 @@ class TestCli:
     def test_help_exits_ok(self, capsys):
         assert main(["single", "--help"]) == EXIT_OK
         assert "--topologies" not in capsys.readouterr().out
+
+    def test_missing_out_directory_is_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_instance", lambda *args: pytest.fail("an instance was built"))
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["single", "--mc", "50", "--schemes", "equal", "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_out_path_is_a_config_error(self, tmp_path, capsys):
+        # The directory exists but the path names a directory, so opening it
+        # for writing raises IsADirectoryError after the run.
+        assert main(["single", "--mc", "50", "--schemes", "equal", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_config_file_exit_code(self):
         assert main(["single", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG_ERROR

@@ -205,6 +205,12 @@ class TestQosSpec:
         assert np.allclose(qos.r_tilde, 200.0 / 184.0)
         assert np.allclose(qos.sinr_floor, 2.0 ** (200.0 / 184.0) - 1.0)
 
+    def test_derived_floors_are_required_at_construction(self):
+        # Built without them, the spec would fail only when a solver reads
+        # its SINR floor.
+        with pytest.raises(TypeError):
+            QosSpec(r_bar=np.array([1.0]))
+
     def test_rejects_negative_floor(self):
         params = make_power_params(m=2, tau_u=2)
         with pytest.raises(ValueError):

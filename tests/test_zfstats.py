@@ -264,6 +264,22 @@ def _oracle_validate(stats, zf, eta, rho_f, n_mc, rng, batch_size=512):
     return interf_sum / accepted, zfstats._mean_se(interf_sum, interf_sq, accepted), accepted
 
 
+def _assert_validate_matches(stats, n_est, n_val):
+    """validate_sinr after an estimate on one Generator equals the per-batch oracle's."""
+    rng = np.random.default_rng(13)
+    zf = estimate_zf_statistics(stats, n_est, rng)
+    eta = np.geomspace(0.04, 0.01, stats.shape[1])
+    got = validate_sinr(stats, zf, eta, rho_f=5.0, n_mc=n_val, rng=rng)
+    oracle_rng = np.random.default_rng(13)
+    _oracle_estimate(stats, n_est, oracle_rng)
+    interference, interference_se, n = _oracle_validate(stats, zf, eta, 5.0, n_val, oracle_rng)
+    assert np.array_equal(got.interference, interference)
+    assert np.array_equal(got.interference_se, interference_se)
+    assert got.n_realizations == n
+    # both consumed the same stream
+    assert rng.random() == oracle_rng.random()
+
+
 def _spy_exact_test(monkeypatch):
     """Record the number of draws of every call to the exact eigenvalue test."""
     seen = []
@@ -293,19 +309,13 @@ class TestBitwiseAgainstPerBatchLoop:
         _assert_same_statistics(got, want)
 
     def test_validate_matches(self):
-        stats = _stats(16, 2, seed=11)
-        rng = np.random.default_rng(13)
-        zf = estimate_zf_statistics(stats, 10_000, rng)
-        eta = np.array([0.04, 0.01])
-        got = validate_sinr(stats, zf, eta, rho_f=5.0, n_mc=20_000, rng=rng)
-        oracle_rng = np.random.default_rng(13)
-        _oracle_estimate(stats, 10_000, oracle_rng)
-        interference, interference_se, n = _oracle_validate(stats, zf, eta, 5.0, 20_000, oracle_rng)
-        assert np.array_equal(got.interference, interference)
-        assert np.array_equal(got.interference_se, interference_se)
-        assert got.n_realizations == n
-        # both consumed the same stream
-        assert rng.random() == oracle_rng.random()
+        # One chunk per batch at M=16, K=2.
+        _assert_validate_matches(_stats(16, 2, seed=11), 10_000, 20_000)
+
+    def test_validate_matches_several_chunks_per_batch(self):
+        # At M=60, K=16 a chunk holds 68 draws, so each batch is re-assembled
+        # from 8 chunks, and the validation ends on a short batch.
+        _assert_validate_matches(_stats(60, 16, seed=11), 600, 1100)
 
     def test_reject_and_redraw_path(self, monkeypatch):
         # Near-square channels with a limit low enough that a small share of
