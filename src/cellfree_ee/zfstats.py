@@ -132,25 +132,13 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng) -> ZfStatistics:
         raise ValueError("n_mc must be at least 1")
     draw = rng.reader() if isinstance(rng, SharedNormals) else np.random.default_rng(rng).standard_normal
 
-    # theta, theta squared, gamma, gamma squared: running totals, and the sums
-    # of the current batch carried across its chunks.
-    totals = [np.zeros((m, k)), np.zeros((m, k)), np.zeros((k, k)), np.zeros((k, k))]
-    batch = [np.zeros_like(t) for t in totals]
-    accepted = 0
-    attempts = 0
-
-    for precoder, _, drawn, batch_done in _zf_batches(stats, n_mc, draw):
+    def terms(precoder, _):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
-        terms = (abs_b2, abs_b2**2, gamma_draw, gamma_draw**2)
-        batch = [_carry_sum(c, rows) for c, rows in zip(batch, terms)]
-        accepted += abs_b2.shape[0]
-        attempts += drawn
-        if batch_done:
-            for total, c in zip(totals, batch):
-                total += c
-            batch = [np.zeros_like(t) for t in totals]
+        return abs_b2, abs_b2**2, gamma_draw, gamma_draw**2
+
+    (theta_sum, theta_sq, gamma_sum, gamma_sq), accepted, attempts = _zf_sums(stats, n_mc, draw, terms)
 
     rejected = attempts - accepted
     if rejected / attempts > 0.01:
@@ -158,7 +146,6 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng) -> ZfStatistics:
             f"rejection rate {rejected / attempts:.2%} exceeds 1% ({rejected}/{attempts})"
         )
 
-    theta_sum, theta_sq, gamma_sum, gamma_sq = totals
     return ZfStatistics(
         gamma=gamma_sum / accepted,
         theta=theta_sum / accepted,
@@ -196,28 +183,17 @@ def validate_sinr(
     rng = np.random.default_rng(rng)
     amp = np.sqrt(eta)
 
-    interf_sum = np.zeros(k)
-    interf_sq = np.zeros(k)
-    accepted = 0
-    precoders, errors = [], []
-
-    for chunk, chunk_err, _, batch_done in _zf_batches(stats, n_mc, rng.standard_normal, with_error=True):
-        precoders.append(chunk)
-        errors.append(chunk_err)
-        if not batch_done:
-            continue
-        precoder, g_err = np.concatenate(precoders), np.concatenate(errors)
-        precoders, errors = [], []
-        nb = precoder.shape[0]
-        # symbols are drawn once the batch's accepted count is known
-        symbols = np.exp(2j * np.pi * rng.random((nb, k)))
-        # error channel of user k through the precoder columns: (b, K, K)
+    def terms(precoder, g_err):
+        # Nothing draws between the chunks of a batch, so symbols drawn chunk
+        # by chunk read the stream that one draw per batch would.
+        symbols = np.exp(2j * np.pi * rng.random((precoder.shape[0], k)))
+        # error channel of user k through the precoder columns: (b', K, K)
         leak = np.swapaxes(g_err, 1, 2) @ precoder
         interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols)[:, :, None])[:, :, 0]
         p = np.abs(interf_amp) ** 2
-        interf_sum += p.sum(axis=0)
-        interf_sq += (p**2).sum(axis=0)
-        accepted += nb
+        return p, p**2
+
+    (interf_sum, interf_sq), accepted, _ = _zf_sums(stats, n_mc, rng.standard_normal, terms, with_error=True)
 
     return SinrValidation(
         desired=rho_f * eta,
@@ -228,22 +204,24 @@ def validate_sinr(
     )
 
 
-def _zf_batches(stats: MmseStats, n_mc: int, draw, with_error: bool = False):
-    """Accepted zero-forcing draws, chunk by chunk, until n_mc draws are accepted.
+def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False) -> tuple:
+    """Sums of per-draw terms over zero-forcing draws until n_mc are accepted.
 
     Each batch of at most ZF_BATCH draws takes the normals of g_hat, then of
     g_err when with_error is set, with one call each of draw (shape ->
     standard normals), and runs _batched_zf on chunks of at most CHUNK_BYTES
-    of complex draws (at least one draw). Yields (precoder, g_err, drawn,
-    batch_done) per chunk: g_err of the accepted draws or None, the number
-    of draws attempted in the chunk, and whether the chunk ends its batch.
-    Raises SingularChannelError once more than 2 * n_mc + 1000 draws have
-    been attempted.
+    of complex draws (at least one draw). terms(precoder, g_err) returns
+    arrays with one row per accepted draw of the chunk; g_err holds those
+    draws' error channels, or None. Each batch sums its rows in order over
+    its chunks, and the batch sums are added up. Returns (sums, accepted,
+    attempted). Raises SingularChannelError once more than 2 * n_mc + 1000
+    draws have been attempted.
     """
     m, k = stats.shape
     chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
     scale_hat = np.sqrt(stats.var_hat / 2.0)
     scale_err = np.sqrt(stats.var_err / 2.0)
+    sums = None
     accepted = 0
     attempts = 0
     max_attempts = 2 * n_mc + 1000
@@ -252,14 +230,21 @@ def _zf_batches(stats: MmseStats, n_mc: int, draw, with_error: bool = False):
         normals_hat = draw((2, b, m, k))
         normals_err = draw((2, b, m, k)) if with_error else None
         attempts += b
+        batch = None
         for start in range(0, b, chunk):
             stop = min(start + chunk, b)
             precoder, ok = _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start:stop]))
             accepted += precoder.shape[0]
             g_err = _complex_from_normals(scale_err, normals_err[:, start:stop][:, ok]) if with_error else None
-            yield precoder, g_err, stop - start, stop == b
+            rows = terms(precoder, g_err)
+            if batch is None:
+                batch = [r.sum(axis=0) for r in rows]
+            else:
+                batch = [_carry_sum(c, r) for c, r in zip(batch, rows)]
+        sums = batch if sums is None else [s + c for s, c in zip(sums, batch)]
         if attempts > max_attempts:
             raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
+    return sums, accepted, attempts
 
 
 def _batched_zf(g_hat: np.ndarray) -> tuple:
@@ -314,12 +299,19 @@ def _condition_ok(gram: np.ndarray) -> np.ndarray:
 
 
 def _carry_sum(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """carry + rows[0] + rows[1] + ..., added in that order.
+    """carry + rows[0] + rows[1] + ..., added in that order; rows[0] is overwritten.
 
-    numpy's axis-0 sum adds rows one after another, so carrying a partial sum
-    from one chunk into the next gives the bits of one sum over the batch.
+    numpy's axis-0 sum adds rows one after another when a row holds more
+    than one value, so carrying a chunk's sum into the next gives the bits of
+    one sum over the batch. A one-value row (gamma at K = 1, validate_sinr's
+    power at K = 1) is summed pairwise instead, so a batch split into several
+    chunks, which at K = 1 happens only for M > 128, can differ in the last
+    bits from one pass.
     """
-    return np.add.reduce(np.concatenate((carry[None], rows)), axis=0)
+    if not len(rows):
+        return carry
+    rows[0] += carry
+    return rows.sum(axis=0)
 
 
 def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> np.ndarray:

@@ -296,10 +296,19 @@ def _assert_same_statistics(got, want):
 class TestBitwiseAgainstPerBatchLoop:
     # (M, K, n_mc, batch_size): 15 and 10 chunks in one batch at M=120 and
     # M=100, two full batches of three chunks and a short last batch at M=20,
-    # ten small batches at M=13, and one chunk per batch at M=16, K=2.
+    # ten small batches at M=13, one chunk per batch at M=16, K=2, and at
+    # K=1, where numpy sums the one-value gamma rows pairwise, one chunk per
+    # batch at M=20.
     @pytest.mark.parametrize(
         "m, k, n_mc, batch_size",
-        [(120, 16, 500, 512), (100, 16, 400, 512), (20, 16, 1100, 512), (13, 4, 1000, 100), (16, 2, 10000, 512)],
+        [
+            (120, 16, 500, 512),
+            (100, 16, 400, 512),
+            (20, 16, 1100, 512),
+            (13, 4, 1000, 100),
+            (16, 2, 10000, 512),
+            (20, 1, 1000, 512),
+        ],
     )
     def test_estimate_matches(self, monkeypatch, m, k, n_mc, batch_size):
         stats = _stats(m, k, seed=m + k)
@@ -316,6 +325,11 @@ class TestBitwiseAgainstPerBatchLoop:
         # At M=60, K=16 a chunk holds 68 draws, so each batch is re-assembled
         # from 8 chunks, and the validation ends on a short batch.
         _assert_validate_matches(_stats(60, 16, seed=11), 600, 1100)
+
+    def test_validate_matches_one_user(self):
+        # At K=1 the power rows hold one value each and are summed pairwise;
+        # at M=20 each batch is one chunk.
+        _assert_validate_matches(_stats(20, 1, seed=11), 1000, 1100)
 
     def test_reject_and_redraw_path(self, monkeypatch):
         # Near-square channels with a limit low enough that a small share of
