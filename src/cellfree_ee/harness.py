@@ -140,23 +140,27 @@ class ExperimentConfig:
         parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls)}
         config = cls()
         seen = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in parsers:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in seen:
-                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
-                seen[key] = lineno
-                try:
-                    setattr(config, key, parsers[key](value))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in parsers:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
+            try:
+                setattr(config, key, parsers[key](value))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
         config.validate()
         return config
 
@@ -451,12 +455,16 @@ def _fmt(value: float) -> str:
 
 
 def write_outputs(rows: list, out_path: str) -> tuple:
-    """Write the per-run CSV and its aggregate sibling; returns both paths."""
+    """Write the per-run CSV and its aggregate sibling; returns both paths.
+
+    Both texts are rendered first and the per-run CSV is written last, so a
+    failed write leaves no new per-run CSV behind.
+    """
     agg_path = _aggregate_path(out_path)
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(rows_to_csv(rows))
-    with open(agg_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(aggregate_rows(rows))
+    texts = ((agg_path, aggregate_rows(rows)), (out_path, rows_to_csv(rows)))
+    for path, text in texts:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     return out_path, agg_path
 
 

@@ -178,6 +178,10 @@ def validate_sinr(
         raise ValueError("n_mc must be at least 1")
     if eta.shape != (k,):
         raise ValueError(f"eta must have shape ({k},), got {eta.shape}")
+    if not np.all(np.isfinite(eta) & (eta >= 0)):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+    if not (math.isfinite(rho_f) and rho_f > 0):
+        raise ValueError(f"rho_f must be finite and positive, got {rho_f}")
     if zf.theta.shape != stats.shape:
         raise ValueError(f"zf statistics are for shape {zf.theta.shape}, the channel is {stats.shape}")
     rng = np.random.default_rng(rng)

@@ -475,6 +475,15 @@ class TestCli:
         assert main(["single", "--config", str(cfg), *extra]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError raised while reading, before any
+        # value is parsed; left alone it ends the command with a traceback.
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\nn_mc = 50\n")
+        assert main(["single", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "latin1.cfg" in err and "UTF-8" in err
+
     @pytest.mark.parametrize("argv", [["sweep-m", "--seed", "abc"], ["single", "--topologies", "5"]])
     def test_usage_error_is_a_config_error(self, capsys, argv):
         # argparse's own code 2 would read as "every optimized run failed".
@@ -495,6 +504,15 @@ class TestCli:
         # for writing raises IsADirectoryError after the run.
         assert main(["single", "--mc", "50", "--schemes", "equal", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_failed_aggregate_write_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        # The aggregate path names a directory, so its write fails; the
+        # per-run CSV, written last, must not be left behind.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x_agg.csv").mkdir()
+        assert main(["single", "--mc", "50", "--schemes", "equal", "--out", "x.csv"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_file_exit_code(self):
         assert main(["single", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG_ERROR

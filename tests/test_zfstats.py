@@ -167,6 +167,17 @@ class TestValidateSinrInputs:
         with pytest.raises(ValueError, match="shape"):
             validate_sinr(self.stats, other, np.array([0.1, 0.1]), rho_f=1.0, n_mc=10, rng=0)
 
+    @pytest.mark.parametrize("eta", [[0.1, -0.1], [0.1, np.nan], [np.inf, 0.1]])
+    def test_rejects_negative_or_nonfinite_eta(self, eta):
+        # Left to run, these give NaN interference with no error.
+        with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+            validate_sinr(self.stats, self.zf, np.array(eta), rho_f=1.0, n_mc=10, rng=0)
+
+    @pytest.mark.parametrize("rho_f", [-5.0, 0.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_rho_f(self, rho_f):
+        with pytest.raises(ValueError, match="rho_f must be finite and positive"):
+            validate_sinr(self.stats, self.zf, np.array([0.1, 0.1]), rho_f=rho_f, n_mc=10, rng=0)
+
 
 # Reference implementation: the per-batch Monte Carlo as it was before the
 # chunked rewrite (names and error messages shortened), kept as the bitwise
