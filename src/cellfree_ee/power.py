@@ -8,6 +8,7 @@ efficiency in bits/Joule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +39,7 @@ class PowerParams:
     def __post_init__(self):
         if not (self.tau > self.tau_u >= 1):
             raise ValueError(f"need tau > tau_u >= 1, got tau={self.tau}, tau_u={self.tau_u}")
-        if self.rho_f <= 0 or self.rho_r <= 0:
+        if not all(math.isfinite(rho) and rho > 0 for rho in (self.rho_f, self.rho_r)):
             raise ValueError("normalized powers must be positive")
 
     @property
@@ -106,7 +107,7 @@ class QosSpec:
     @classmethod
     def from_floor(cls, r_bar, params: PowerParams) -> "QosSpec":
         r_bar = np.atleast_1d(np.asarray(r_bar, dtype=float))
-        if np.any(r_bar < 0):
+        if not np.all(np.isfinite(r_bar) & (r_bar >= 0)):
             raise ValueError("QoS floors must be nonnegative")
         r_tilde = r_bar * params.tau / (params.tau - params.tau_u)
         return cls(r_bar=r_bar, r_tilde=r_tilde, sinr_floor=2.0**r_tilde - 1.0)

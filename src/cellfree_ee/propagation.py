@@ -7,6 +7,7 @@ operation is reproducible and safe to parallelize with spawned streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ def generate_topology(m: int, k: int, area_side: float, seed) -> Topology:
         raise ValueError(f"need at least one AP and one user, got m={m}, k={k}")
     if m < k:
         raise ValueError(f"need m >= k for zero-forcing, got m={m} < k={k}")
-    if area_side <= 0:
+    if not (math.isfinite(area_side) and area_side > 0):
         raise ValueError(f"area_side must be positive, got {area_side}")
     rng = np.random.default_rng(seed)
     ap = rng.uniform(0.0, area_side, size=(m, 2))
@@ -101,9 +102,9 @@ def large_scale_fading(
     35 dB/decade, plus i.i.d. log-normal shadowing with standard deviation
     sigma_shad_db (in dB). Distances below d_min_km are clamped.
     """
-    if sigma_shad_db < 0:
+    if not (math.isfinite(sigma_shad_db) and sigma_shad_db >= 0):
         raise ValueError("shadowing standard deviation must be nonnegative")
-    if d_min_km < 0:
+    if not (math.isfinite(d_min_km) and d_min_km >= 0):
         raise ValueError("distance floor must be nonnegative")
     rng = np.random.default_rng(rng)
     d = np.maximum(pairwise_wrapped_distances(topo), d_min_km)
@@ -123,7 +124,7 @@ def mmse_stats(beta: np.ndarray, rho_r: float, tau_u: int) -> MmseStats:
     k = beta.shape[1]
     if tau_u < k:
         raise ValueError(f"orthonormal pilots need tau_u >= K, got tau_u={tau_u} < K={k}")
-    if rho_r <= 0:
+    if not (math.isfinite(rho_r) and rho_r > 0):
         raise ValueError("rho_r must be positive")
     q = rho_r * tau_u * beta
     var_hat = np.where(beta > 0, q * beta / (1.0 + q), 0.0)

@@ -13,8 +13,10 @@ error expectation is taken analytically, which lowers the estimator variance.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,9 @@ ZF_IDENTITY_TOL = 1e-8
 # Draws per Monte-Carlo batch: each batch takes its normals in one call.
 ZF_BATCH = 512
 # Complex draws per zero-forcing chunk, in bytes: a chunk and its temporaries
-# stay in cache, where a whole batch would stream through memory.
-CHUNK_BYTES = 1 << 20
+# stay in cache, where a whole batch would stream through memory. Two chunks
+# are in flight at once. At K = 1 a batch splits into chunks only for M > 64.
+CHUNK_BYTES = 1 << 19
 
 
 class SingularChannelError(RuntimeError):
@@ -214,41 +217,75 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False)
     Each batch of at most ZF_BATCH draws takes the normals of g_hat, then of
     g_err when with_error is set, with one call each of draw (shape ->
     standard normals), and runs _batched_zf on chunks of at most CHUNK_BYTES
-    of complex draws (at least one draw). terms(precoder, g_err) returns
-    arrays with one row per accepted draw of the chunk; g_err holds those
-    draws' error channels, or None. Each batch sums its rows in order over
-    its chunks, and the batch sums are added up. Returns (sums, accepted,
-    attempted). Raises SingularChannelError once more than 2 * n_mc + 1000
-    draws have been attempted.
+    of complex draws (at least one draw). Where the process may use two
+    CPUs, a batch of several chunks has one worker thread compute the odd
+    chunks' precoders while the caller computes the even ones. An error in
+    the worker's chunk is raised at that chunk's turn, and no thread outlives
+    the call.
+    terms(precoder, g_err) returns arrays with one row per accepted draw of
+    the chunk; g_err holds those draws' error channels, or None. terms runs
+    in the caller, chunk by chunk in order. Each batch sums its rows in order
+    over its chunks, and the batch sums are added up. Returns (sums,
+    accepted, attempted). Raises SingularChannelError once more than
+    2 * n_mc + 1000 draws have been attempted.
     """
     m, k = stats.shape
     chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
     scale_hat = np.sqrt(stats.var_hat / 2.0)
     scale_err = np.sqrt(stats.var_err / 2.0)
+    # No batch is larger than the first, so where the first is one chunk no
+    # batch hands off. concurrent.futures is imported only where one can: it
+    # takes 0.6 MB, and at module top it would slow the package import.
+    paired = chunk < min(ZF_BATCH, n_mc) and _usable_cpus() > 1
+    if paired:
+        from concurrent.futures import ThreadPoolExecutor
     sums = None
     accepted = 0
     attempts = 0
     max_attempts = 2 * n_mc + 1000
-    while accepted < n_mc:
-        b = min(ZF_BATCH, n_mc - accepted)
-        normals_hat = draw((2, b, m, k))
-        normals_err = draw((2, b, m, k)) if with_error else None
-        attempts += b
-        batch = None
-        for start in range(0, b, chunk):
-            stop = min(start + chunk, b)
-            precoder, ok = _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start:stop]))
-            accepted += precoder.shape[0]
-            g_err = _complex_from_normals(scale_err, normals_err[:, start:stop][:, ok]) if with_error else None
-            rows = terms(precoder, g_err)
-            if batch is None:
-                batch = [r.sum(axis=0) for r in rows]
-            else:
-                batch = [_carry_sum(c, r) for c, r in zip(batch, rows)]
-        sums = batch if sums is None else [s + c for s, c in zip(sums, batch)]
-        if attempts > max_attempts:
-            raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
+
+    def precoders(normals_hat, start):
+        return _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start : start + chunk]))
+
+    with ThreadPoolExecutor(max_workers=1) if paired else contextlib.nullcontext() as pool:
+        while accepted < n_mc:
+            b = min(ZF_BATCH, n_mc - accepted)
+            normals_hat = draw((2, b, m, k))
+            normals_err = draw((2, b, m, k)) if with_error else None
+            attempts += b
+            starts = range(0, b, chunk)
+            handoff = paired and len(starts) > 1
+            ahead = pool.submit(precoders, normals_hat, starts[1]) if handoff else None
+            batch = None
+            for j, start in enumerate(starts):
+                if handoff and j % 2:
+                    # The worker's chunk; queue its next one before waiting,
+                    # so the worker never idles while the caller sums.
+                    done = ahead
+                    if j + 2 < len(starts):
+                        ahead = pool.submit(precoders, normals_hat, starts[j + 2])
+                    precoder, ok = done.result()
+                else:
+                    precoder, ok = precoders(normals_hat, start)
+                accepted += precoder.shape[0]
+                stop = start + chunk
+                g_err = _complex_from_normals(scale_err, normals_err[:, start:stop][:, ok]) if with_error else None
+                rows = terms(precoder, g_err)
+                if batch is None:
+                    batch = [r.sum(axis=0) for r in rows]
+                else:
+                    batch = [_carry_sum(c, r) for c, r in zip(batch, rows)]
+            sums = batch if sums is None else [s + c for s, c in zip(sums, batch)]
+            if attempts > max_attempts:
+                raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
     return sums, accepted, attempts
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _batched_zf(g_hat: np.ndarray) -> tuple:
@@ -309,7 +346,7 @@ def _carry_sum(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
     than one value, so carrying a chunk's sum into the next gives the bits of
     one sum over the batch. A one-value row (gamma at K = 1, validate_sinr's
     power at K = 1) is summed pairwise instead, so a batch split into several
-    chunks, which at K = 1 happens only for M > 128, can differ in the last
+    chunks, which at K = 1 happens only for M > 64, can differ in the last
     bits from one pass.
     """
     if not len(rows):

@@ -15,6 +15,8 @@ from cellfree_ee.power import (
     total_power,
 )
 
+NONFINITE = [np.nan, np.inf, -np.inf]
+
 
 def _zf(gamma, theta):
     return ZfStatistics(gamma=np.asarray(gamma, float), theta=np.asarray(theta, float), n_realizations=1)
@@ -215,3 +217,17 @@ class TestQosSpec:
         params = make_power_params(m=2, tau_u=2)
         with pytest.raises(ValueError):
             QosSpec.from_floor(np.array([-0.1]), params)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_floor(self, bad):
+        params = make_power_params(m=2, tau_u=2)
+        with pytest.raises(ValueError, match="QoS floors must be nonnegative"):
+            QosSpec.from_floor([bad, 1.0], params)
+
+
+class TestPowerParamsRange:
+    @pytest.mark.parametrize("bad", NONFINITE + [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["p_tx_watts", "p_ul_watts"])
+    def test_rejects_nonpositive_or_nonfinite_power(self, name, bad):
+        with pytest.raises(ValueError, match="normalized powers must be positive"):
+            make_power_params(m=4, **{name: bad})

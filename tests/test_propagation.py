@@ -10,6 +10,8 @@ from cellfree_ee.propagation import (
     wrapped_distance,
 )
 
+NONFINITE = [np.nan, np.inf, -np.inf]
+
 
 class TestGenerateTopology:
     def test_points_inside_square(self):
@@ -32,6 +34,11 @@ class TestGenerateTopology:
     def test_rejects_bad_parameters(self, m, k, side):
         with pytest.raises(ValueError):
             generate_topology(m, k, side, seed=0)
+
+    @pytest.mark.parametrize("side", NONFINITE)
+    def test_rejects_nonfinite_side(self, side):
+        with pytest.raises(ValueError, match="area_side must be positive"):
+            generate_topology(2, 1, side, seed=0)
 
 
 class TestWrappedDistance:
@@ -85,6 +92,18 @@ class TestLargeScaleFading:
     def test_distance_floor(self):
         assert self._single_link_beta(0.0) == pytest.approx(10.0 ** (-13.6 - 3.5 * np.log10(0.01)), rel=1e-12)
 
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_shadowing(self, bad):
+        topo = generate_topology(2, 1, 1.0, seed=0)
+        with pytest.raises(ValueError, match="shadowing standard deviation must be nonnegative"):
+            large_scale_fading(topo, sigma_shad_db=bad, rng=0)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_distance_floor(self, bad):
+        topo = generate_topology(2, 1, 1.0, seed=0)
+        with pytest.raises(ValueError, match="distance floor must be nonnegative"):
+            large_scale_fading(topo, sigma_shad_db=8.0, d_min_km=bad, rng=0)
+
     def test_decreasing_in_distance_without_shadowing(self):
         ds = np.linspace(0.02, 1.4, 50)
         betas = [self._single_link_beta(d) for d in ds]
@@ -119,6 +138,11 @@ class TestMmseStats:
     def test_rejects_short_pilots(self):
         with pytest.raises(ValueError, match="tau_u"):
             mmse_stats(np.ones((4, 3)), rho_r=1.0, tau_u=2)
+
+    @pytest.mark.parametrize("rho_r", NONFINITE + [0.0, -1.0])
+    def test_rejects_nonpositive_or_nonfinite_rho_r(self, rho_r):
+        with pytest.raises(ValueError, match="rho_r must be positive"):
+            mmse_stats(np.ones((4, 3)), rho_r=rho_r, tau_u=3)
 
 
 class TestDrawRealization:

@@ -1,10 +1,14 @@
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellfree_ee import zfstats
-from cellfree_ee.propagation import MmseStats, mmse_stats
+from cellfree_ee.propagation import MmseStats, _complex_from_normals, mmse_stats
 from cellfree_ee.zfstats import (
     CONDITION_LIMIT,
     SharedNormals,
@@ -304,12 +308,21 @@ def _assert_same_statistics(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Pair the chunks of a batch on a worker thread even where one CPU is usable."""
+    monkeypatch.setattr(zfstats, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestBitwiseAgainstPerBatchLoop:
-    # (M, K, n_mc, batch_size): 15 and 10 chunks in one batch at M=120 and
-    # M=100, two full batches of three chunks and a short last batch at M=20,
+    # (M, K, n_mc, batch_size): 30 and 20 chunks in one batch at M=120 and
+    # M=100, two full batches of six chunks and a short last batch at M=20,
     # ten small batches at M=13, one chunk per batch at M=16, K=2, and at
     # K=1, where numpy sums the one-value gamma rows pairwise, one chunk per
-    # batch at M=20.
+    # batch at M=20. At M=100 with batches of 100, every batch holds an odd
+    # number of chunks (5, 5, then 3 in the short last batch), so each
+    # batch's last chunk runs in the caller with no partner.
     @pytest.mark.parametrize(
         "m, k, n_mc, batch_size",
         [
@@ -319,6 +332,7 @@ class TestBitwiseAgainstPerBatchLoop:
             (13, 4, 1000, 100),
             (16, 2, 10000, 512),
             (20, 1, 1000, 512),
+            (100, 16, 250, 100),
         ],
     )
     def test_estimate_matches(self, monkeypatch, m, k, n_mc, batch_size):
@@ -333,8 +347,8 @@ class TestBitwiseAgainstPerBatchLoop:
         _assert_validate_matches(_stats(16, 2, seed=11), 10_000, 20_000)
 
     def test_validate_matches_several_chunks_per_batch(self):
-        # At M=60, K=16 a chunk holds 68 draws, so each batch is re-assembled
-        # from 8 chunks, and the validation ends on a short batch.
+        # At M=60, K=16 a chunk holds 34 draws, so each batch is re-assembled
+        # from 16 chunks, and the validation ends on a short batch.
         _assert_validate_matches(_stats(60, 16, seed=11), 600, 1100)
 
     def test_validate_matches_one_user(self):
@@ -370,6 +384,113 @@ class TestBitwiseAgainstPerBatchLoop:
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 7e3)
         got = estimate_zf_statistics(stats, 3000, SharedNormals(8, 2 * zfstats.ZF_BATCH * 40 * 16))
         _assert_same_statistics(got, _oracle_estimate(stats, 3000, np.random.default_rng(8)))
+
+
+class TestWorkerThread:
+    # At M=100, K=16 a chunk holds 20 draws: a batch of 200 has 10 chunks.
+    M, K, N_MC = 100, 16, 200
+
+    def _stats(self):
+        return _stats(self.M, self.K, seed=4)
+
+    def _fail_chunk_one(self, monkeypatch, stats, seed):
+        """Make _batched_zf raise on chunk 1 of the first batch; returns the raising threads."""
+        chunk = zfstats.CHUNK_BYTES // (16 * self.M * self.K)
+        normals = np.random.default_rng(seed).standard_normal((2, self.N_MC, self.M, self.K))
+        target = _complex_from_normals(np.sqrt(stats.var_hat / 2.0), normals[:, chunk : 2 * chunk])
+        batched_zf = zfstats._batched_zf
+        threads = []
+
+        def failing(g_hat):
+            if g_hat.shape == target.shape and np.array_equal(g_hat, target):
+                threads.append(threading.current_thread())
+                raise SingularChannelError(f"precoder identity residual {abs(g_hat[0, 0, 0]):.3e} exceeds 1e-08")
+            return batched_zf(g_hat)
+
+        monkeypatch.setattr(zfstats, "_batched_zf", failing)
+        return threads
+
+    def test_one_cpu_computes_every_chunk_inline(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        stats = self._stats()
+        paired = estimate_zf_statistics(stats, self.N_MC, 3)
+        monkeypatch.setattr(zfstats, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("a chunk was handed off"))
+        _assert_same_statistics(estimate_zf_statistics(stats, self.N_MC, 3), paired)
+
+    def test_one_chunk_batches_start_no_thread(self, monkeypatch, two_cpus):
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("a chunk was handed off"))
+        stats = _stats(16, 2, seed=11)
+        zf = estimate_zf_statistics(stats, 2000, 3)
+        validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=5.0, n_mc=2000, rng=4)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, two_cpus):
+        # The error of a chunk the worker computed is raised where the
+        # sequential loop raises it, with the same message.
+        stats = self._stats()
+        before = threading.active_count()
+        threads = self._fail_chunk_one(monkeypatch, stats, seed=6)
+        with pytest.raises(SingularChannelError) as paired:
+            estimate_zf_statistics(stats, self.N_MC, 6)
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
+        assert threading.active_count() == before
+        monkeypatch.setattr(zfstats, "_usable_cpus", lambda: 1)
+        with pytest.raises(SingularChannelError) as inline:
+            estimate_zf_statistics(stats, self.N_MC, 6)
+        assert threads[1] is threading.current_thread()
+        assert str(paired.value) == str(inline.value)
+        assert "identity residual" in str(inline.value)
+
+    def test_short_switch_interval_changes_no_bit(self, two_cpus):
+        # Threads switching every microsecond interleave the two threads' work
+        # at many points; the sums must still be those of the per-batch loop.
+        stats = self._stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_zf_statistics(stats, 3 * self.N_MC, np.random.default_rng(10))
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_statistics(got, _oracle_estimate(stats, 3 * self.N_MC, np.random.default_rng(10)))
+
+    def test_no_thread_outlives_a_call(self, two_cpus):
+        stats = self._stats()
+        before = threading.active_count()
+        zf = estimate_zf_statistics(stats, self.N_MC, 7)
+        assert threading.active_count() == before
+        validate_sinr(stats, zf, np.full(self.K, 1e-3), rho_f=2.0, n_mc=self.N_MC, rng=8)
+        assert threading.active_count() == before
+        # A pool kept across calls would have started its thread in an
+        # earlier test, so the count alone would not see it.
+        assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_child_forked_after_an_estimate_finishes_its_own(self, two_cpus):
+        stats = self._stats()
+        want = estimate_zf_statistics(stats, self.N_MC, 9)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+
+        def child():
+            zf = estimate_zf_statistics(stats, self.N_MC, 9)
+            sender.send((zf.gamma, zf.theta, zf.gamma_se, zf.theta_se))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert receiver.poll(60), "the forked child did not finish its estimate"
+            got = receiver.recv()
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        for g, w in zip(got, (want.gamma, want.theta, want.gamma_se, want.theta_se)):
+            assert np.array_equal(g, w)
+        assert process.exitcode == 0
 
 
 _SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), max_size=6)
