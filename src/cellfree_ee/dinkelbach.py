@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .inner import LOAD_ROUNDOFF, ConstraintSet, NonConcaveObjectiveError, _minimal_power_start, solve_inner
+from .inner import ConstraintSet, NonConcaveObjectiveError, _minimal_power_start, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -46,8 +46,8 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     optimum (every per-AP multiplier is zero); otherwise the step falls back
     to the interior-point solver. The status is `converged` only when the
     parametric gap closed and the last step's subproblem was solved to
-    tolerance. A start that loads an AP to one (up to LOAD_ROUNDOFF) is the
-    only feasible point and is returned as `converged` after 0 iterations.
+    tolerance. A start that _minimal_power_start reports as the only feasible
+    point (not interior) is returned as `converged` after 0 iterations.
 
     Returns (PowerAllocation or None, SolveReport).
     """
@@ -62,7 +62,7 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     # QoS floors are simple lower bounds once the interference term is gone,
     # so the problem is feasible iff the floors alone leave every AP slack.
     lower = np.maximum(qos.sinr_floor / rho_hat, 1e-12)
-    start = _minimal_power_start(theta_hat, np.zeros((k, k)), lower)
+    start, interior = _minimal_power_start(theta_hat, np.zeros((k, k)), lower)
     if start is None:
         report.status = STATUS_INFEASIBLE
         return None, report
@@ -103,8 +103,8 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
     report.lambdas.append(lam)
     report.ee_trajectory.append(energy_efficiency(eta_scale * v, zf0, params))
     report.iterates.append(eta_scale * v)
-    if np.max(theta_hat @ start) >= 1.0 - LOAD_ROUNDOFF:
-        # No interior: the start is the only feasible point, so the optimum.
+    if not interior:
+        # The start is the only feasible point, so the optimum.
         report.status = STATUS_CONVERGED
         return PowerAllocation(eta=eta_scale * v), report
 

@@ -36,7 +36,8 @@ _MU_TARGET = 10.0
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
-# A per-AP load within this of one is one up to roundoff (_minimal_power_start).
+# A per-AP load within this of one is one up to roundoff; _minimal_power_start
+# alone decides with it whether a start is the only feasible point.
 LOAD_ROUNDOFF = 1e-12
 
 
@@ -232,24 +233,26 @@ def _solve_newton(newton, grad_phi):
 
 
 def feasible_point(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
-    """Strictly feasible power allocation for the QoS-constrained problem, or None.
+    """Feasible power allocation for the QoS-constrained problem, and whether it is interior.
 
-    In the scaled units w = eta / eta_scale, with f the SINR floors and
-    rho_hat = rho_f * eta_scale, user k's QoS row rho_f eta_k >= f_k (1 +
-    rho_f gamma[k] . eta) reads ((I - diag(f) gamma) w)_k >= f_k / rho_hat, and
-    the per-AP rows read theta_hat @ w <= 1; see _minimal_power_start.
+    Returns (PowerAllocation or None, interior). In the scaled units
+    w = eta / eta_scale, with f the SINR floors and rho_hat = rho_f * eta_scale,
+    user k's QoS row rho_f eta_k >= f_k (1 + rho_f gamma[k] . eta) reads
+    ((I - diag(f) gamma) w)_k >= f_k / rho_hat, and the per-AP rows read
+    theta_hat @ w <= 1; see _minimal_power_start, which decides both the
+    allocation and the verdict.
     """
     theta = zf.theta
     eta_scale = float(equal_power_allocation(theta).eta[0])
     sinr_floor = qos.sinr_floor
-    w = _minimal_power_start(
+    w, interior = _minimal_power_start(
         theta * eta_scale, sinr_floor[:, None] * zf.gamma, sinr_floor / (params.rho_f * eta_scale)
     )
-    return None if w is None else PowerAllocation(eta=eta_scale * w)
+    return (None if w is None else PowerAllocation(eta=eta_scale * w)), interior
 
 
 def _minimal_power_start(theta_hat, coupling, floor):
-    """Interior point of (I - coupling) w >= floor, theta_hat @ w <= 1, w >= 0.
+    """Start for (I - coupling) w >= floor, theta_hat @ w <= 1, w >= 0: (w or None, interior).
 
     coupling and theta_hat are elementwise nonnegative. With u the solution of
     (I - coupling) u = 1, a positive u exists iff the spectral radius of
@@ -263,9 +266,10 @@ def _minimal_power_start(theta_hat, coupling, floor):
 
     When L is one up to LOAD_ROUNDOFF, w_min itself is returned: theta_hat > 0
     entrywise and every feasible w >= w_min, so it is the only feasible point.
-    The solvers return a start that loads an AP to 1 - LOAD_ROUNDOFF or more
-    (w_min, or an interior point with L >= 1 - 2 LOAD_ROUNDOFF) as the
-    optimum. Returns None when L exceeds one by more than LOAD_ROUNDOFF.
+    interior is False whenever the returned w loads an AP to 1 - LOAD_ROUNDOFF
+    or more (w_min, or an interior point with L >= 1 - 2 LOAD_ROUNDOFF): w is
+    then the only feasible point up to roundoff, so the optimum. Returns
+    (None, False) when L exceeds one by more than LOAD_ROUNDOFF.
     """
     if np.any(theta_hat.max(axis=0) <= 0.0):
         raise ValueError("theta has an all-zero column; a user consumes no power at any AP")
@@ -273,10 +277,11 @@ def _minimal_power_start(theta_hat, coupling, floor):
     try:
         w_min, u = np.linalg.solve(np.eye(k) - coupling, np.column_stack([floor, np.ones(k)])).T
     except np.linalg.LinAlgError:  # coupling has eigenvalue 1: spectral radius at least one
-        return None
+        return None, False
     if not np.all(u > 0.0):
-        return None
+        return None, False
     load = float(np.max(theta_hat @ w_min))
     if load > 1.0 + LOAD_ROUNDOFF:
-        return None
-    return w_min + max(0.0, 1.0 - load) / (2.0 * float(np.max(u))) * u
+        return None, False
+    w = w_min + max(0.0, 1.0 - load) / (2.0 * float(np.max(u))) * u
+    return w, float(np.max(theta_hat @ w)) < 1.0 - LOAD_ROUNDOFF

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import LOAD_ROUNDOFF, ConstraintSet, feasible_point, solve_inner
+from .inner import ConstraintSet, feasible_point, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -226,8 +226,8 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     (which keeps every SINR and scales every AP load by that ratio, so a
     larger previous cap can overload an AP). feasible_point still
     runs first, so an infeasible problem is still reported as such, and a
-    start that loads an AP to one (up to LOAD_ROUNDOFF) is the only feasible
-    point and is returned as `converged` after 0 iterations. With s
+    start it reports as the only feasible point (not interior) is returned
+    as `converged` after 0 iterations. With s
     the feasible_point start and t in [0, 1] the largest step from s towards
     warm that stays on every QoS, per-AP and sign row, the start is
     (1 - WARM_BLEND) (t warm + (1 - t) s) + WARM_BLEND s, which is strictly
@@ -240,13 +240,13 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
     """
     report = SolveReport()
 
-    start = feasible_point(zf, params, qos)
+    start, interior = feasible_point(zf, params, qos)
     if start is None:
         report.status = STATUS_INFEASIBLE
         return None, report
     s = eta0 = start.eta
-    if np.max(zf.theta @ s) >= 1.0 - LOAD_ROUNDOFF:
-        # No interior: the start is the only feasible point, so the optimum.
+    if not interior:
+        # The start is the only feasible point, so the optimum.
         report.status = STATUS_CONVERGED
         report.ee_trajectory.append(energy_efficiency(s, zf, params))
         report.iterates.append(s)

@@ -332,14 +332,15 @@ class TestFeasiblePoint:
         params = make_power_params(m=4, tau_u=3)
         zf = _zf_for_feasibility(k=3, gamma_level=0.3)
         qos = QosSpec.from_floor(np.zeros(3), params)
-        alloc = feasible_point(zf, params, qos)
+        alloc, _ = feasible_point(zf, params, qos)
         np.testing.assert_allclose(alloc.eta, 0.5 * equal_power_allocation(zf.theta).eta, rtol=1e-12)
 
     def test_huge_floor_is_infeasible(self):
         params = make_power_params(m=4, tau_u=2)
         zf = _zf_for_feasibility(k=1)
         qos = QosSpec.from_floor(np.full(1, 1e3), params)
-        assert feasible_point(zf, params, qos) is None
+        alloc, _ = feasible_point(zf, params, qos)
+        assert alloc is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_single_user_closed_form_oracle(self, seed):
@@ -356,7 +357,7 @@ class TestFeasiblePoint:
         for fraction, expect_feasible in ((0.5, True), (1.5, False)):
             r_bar = params.prelog * np.log2(1.0 + fraction * sinr_cap)
             qos = QosSpec.from_floor(np.array([r_bar]), params)
-            alloc = feasible_point(zf, params, qos)
+            alloc, _ = feasible_point(zf, params, qos)
             if expect_feasible:
                 assert alloc is not None
                 assert check_feasibility(alloc.eta, zf, params, qos).feasible
@@ -368,7 +369,7 @@ class TestFeasiblePoint:
 
         _, _, zf, params = small_instance
         qos = loose_qos(zf, params)
-        alloc = feasible_point(zf, params, qos)
+        alloc, _ = feasible_point(zf, params, qos)
         report = check_feasibility(alloc.eta, zf, params, qos)
         assert report.feasible
         assert report.ap_margin.min() > 0.0
@@ -388,7 +389,7 @@ def test_feasibility_boundary_is_exact_with_interference(c):
     assert np.all(zf.gamma > 0.0)
     eta_eq = equal_power_allocation(zf.theta).eta
     qos = _floors_at(zf, params, c * eta_eq)
-    alloc = feasible_point(zf, params, qos)
+    alloc, _ = feasible_point(zf, params, qos)
     if c > 1.0:
         assert alloc is None
         return
@@ -430,7 +431,7 @@ def test_closed_form_agrees_with_max_min_slack_lp(k, extra_aps, seed, p_tx_watts
     qos = _floors_at(zf, params, scale * weights * equal_power_allocation(zf.theta).eta)
     slack = _max_min_slack(zf, params, qos)
     assume(abs(slack) > 1e-9)
-    alloc = feasible_point(zf, params, qos)
+    alloc, _ = feasible_point(zf, params, qos)
     assert (alloc is not None) == (slack > 0.0)
     if alloc is None:
         return

@@ -131,7 +131,8 @@ class TestScaStep:
     def test_step_stays_feasible_for_original_problem(self, small_instance):
         _, _, zf, params = small_instance
         qos = loose_qos(zf, params)
-        z = np.sqrt(feasible_point(zf, params, qos).eta)
+        start, _ = feasible_point(zf, params, qos)
+        z = np.sqrt(start.eta)
         surr = build_surrogate(z, zf, params)
         z_next, _ = sca_step(surr, zf, params, qos)
         assert check_feasibility(z_next**2, zf, params, qos).feasible
@@ -145,7 +146,8 @@ class TestScaStep:
         _, _, zf, params = small_instance
         qos = loose_qos(zf, params)
         eq = equal_power_allocation(zf.theta)
-        anchor = feasible_point(zf, params, qos).eta
+        start, _ = feasible_point(zf, params, qos)
+        anchor = start.eta
         rng = np.random.default_rng(17)
         for _ in range(5):
             # the constraint set is a polytope in eta, so blends stay feasible
@@ -407,7 +409,8 @@ def test_warm_point_meeting_every_row_is_blended_unchanged(small_instance):
     warm = 0.9 * equal_power_allocation(zf.theta).eta
     assert check_feasibility(warm, zf, params, qos, tol=0.0).feasible
     _, report = solve_ipce(zf, params, qos, warm=warm)
-    blend = (1.0 - sca.WARM_BLEND) * warm + sca.WARM_BLEND * feasible_point(zf, params, qos).eta
+    start, _ = feasible_point(zf, params, qos)
+    blend = (1.0 - sca.WARM_BLEND) * warm + sca.WARM_BLEND * start.eta
     z = np.maximum(np.sqrt(blend), 1.5 * sca._floor_z(zf.theta))
     assert np.array_equal(report.iterates[0], z * z)
 
