@@ -36,8 +36,8 @@ _MU_TARGET = 10.0
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
-# A per-AP load within this of one is one up to roundoff; _minimal_power_start
-# alone decides with it whether a start is the only feasible point.
+# A minimal per-AP load within this times max(u) of one is one up to roundoff;
+# _minimal_power_start alone decides with it when a start is the only point.
 LOAD_ROUNDOFF = 1e-12
 
 
@@ -264,12 +264,11 @@ def _minimal_power_start(theta_hat, coupling, floor):
     returned w_min + (1 - L) / (2 max(u)) u leaves every floor row slack by
     the same margin and every per-AP load at most (1 + L) / 2.
 
-    When L is one up to LOAD_ROUNDOFF, w_min itself is returned: theta_hat > 0
-    entrywise and every feasible w >= w_min, so it is the only feasible point.
-    interior is False whenever the returned w loads an AP to 1 - LOAD_ROUNDOFF
-    or more (w_min, or an interior point with L >= 1 - 2 LOAD_ROUNDOFF): w is
-    then the only feasible point up to roundoff, so the optimum. Returns
-    (None, False) when L exceeds one by more than LOAD_ROUNDOFF.
+    The solve amplifies relative roundoff in floor by up to max(u) =
+    ||(I - coupling)^-1||_inf, so |1 - L| <= LOAD_ROUNDOFF max(u) counts as
+    L = 1: theta_hat > 0 entrywise and every feasible w >= w_min, so w_min is
+    the only feasible point, and w_min / L (busiest load 1) is returned with
+    interior False. Returns (None, False) above that band.
     """
     if np.any(theta_hat.max(axis=0) <= 0.0):
         raise ValueError("theta has an all-zero column; a user consumes no power at any AP")
@@ -280,8 +279,9 @@ def _minimal_power_start(theta_hat, coupling, floor):
         return None, False
     if not np.all(u > 0.0):
         return None, False
-    load = float(np.max(theta_hat @ w_min))
-    if load > 1.0 + LOAD_ROUNDOFF:
+    load, u_max = float(np.max(theta_hat @ w_min)), float(np.max(u))
+    if load > 1.0 + LOAD_ROUNDOFF * u_max:
         return None, False
-    w = w_min + max(0.0, 1.0 - load) / (2.0 * float(np.max(u))) * u
-    return w, float(np.max(theta_hat @ w)) < 1.0 - LOAD_ROUNDOFF
+    if load >= 1.0 - LOAD_ROUNDOFF * u_max:
+        return w_min / load, False
+    return w_min + (1.0 - load) / (2.0 * u_max) * u, True

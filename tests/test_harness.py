@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cellfree_ee import harness
 from cellfree_ee.cli import EXIT_ALL_INFEASIBLE, EXIT_CONFIG_ERROR, EXIT_OK, main
@@ -372,6 +374,68 @@ class TestSweeps:
         assert [r for r in rows if r.seed != bad_seed] == [r for r in clean if r.seed != bad_seed]
         for line in aggregate_rows(rows).splitlines()[1:]:
             assert line.split(",")[5:8] == ["2", "1", "1"]
+
+
+# ROADMAP direction 5's draw: one user floored at its equal-power rate, whose
+# 30.1 W rows have the floor met only at full load at M=8 and at M=21.
+SINGLE_USER_AT_FULL_LOAD = ExperimentConfig(
+    m_list=[8, 21], k=1, area_side_km=0.13947866999574365, sigma_shad_db=1.4638014478193195, d_min_km=0.01,
+    tau=152, rho_f_w_list=[0.0012012485269906352, 0.0021761310899917545, 30.114561630967305],
+    rho_r_w=0.0014318700412615357, qos="equal-power-rate", p_cir_w=100.0, p_cm_w=0.2, p_0m_w=0.0,
+    p_bt_w_per_gbps=0.0, n_topologies=1, n_mc=115, master_seed=4147082304,
+)
+# ROADMAP direction 4's draw: no fixed consumption, so the optimum is the floor point.
+QOS_FACE = ExperimentConfig(
+    m_list=[13, 23], k=1, area_side_km=2.4177619879425154, sigma_shad_db=19.2636343347947, d_min_km=0.001,
+    tau=137, rho_f_w_list=[0.00013123549676573917, 0.0002188558423363407, 3.501292610842143],
+    rho_r_w=0.0002620981569145874, qos="0.0225", p_cir_w=0.0, p_cm_w=0.0, p_0m_w=0.0, p_bt_w_per_gbps=0.25,
+    n_topologies=1, n_mc=267, master_seed=599982113,
+)
+KNOWN_STATUSES = {"converged", "max-iter", "infeasible"} | {
+    f"error:{name}" for name in ("NonConcaveObjectiveError", "InfeasibleStartError", "SingularChannelError")
+}
+
+
+def test_single_user_floored_at_full_load_is_its_only_feasible_point():
+    # The floor is met only where the busiest AP is at load 1, so the IPCE
+    # optimum is the equal-power point itself, found without iterating.
+    config = SINGLE_USER_AT_FULL_LOAD
+    rows = run_topology(config, config.m_list, 0, config.rho_f_w_list)
+    at_cap = {(r.m, r.scheme): r for r in rows if r.rho_f_w == config.rho_f_w_list[-1]}
+    for m in config.m_list:
+        ipce, equal = at_cap[m, "ipce"], at_cap[m, "equal"]
+        assert (ipce.status, ipce.iters) == ("converged", 0)
+        assert ipce.ee_bits_per_joule == pytest.approx(equal.ee_bits_per_joule, rel=1e-12)
+
+
+@st.composite
+def valid_configs(draw):
+    """One-topology configs that validate() accepts, over ROADMAP direction 5's ranges."""
+    k = draw(st.integers(1, 6))
+    m_list = draw(st.lists(st.integers(k + 1, k + 24), min_size=1, max_size=2, unique=True))
+    caps = draw(st.lists(st.floats(-4.0, np.log10(30.0)).map(lambda e: 10**e), min_size=3, max_size=3, unique=True))
+    qos = draw(st.one_of(st.just("0"), st.just("equal-power-rate"), st.floats(-3.0, 1.0).map(lambda e: str(10**e))))
+    return ExperimentConfig(
+        m_list=m_list, k=k, area_side_km=10 ** draw(st.floats(np.log10(0.03), 1.0)),
+        sigma_shad_db=draw(st.floats(0.0, 20.0)), d_min_km=draw(st.sampled_from([0.001, 0.01])),
+        tau=draw(st.integers(k + 1, 200)), rho_f_w_list=caps,
+        rho_r_w=10 ** draw(st.floats(-4.0, 0.0)), qos=qos, p_cir_w=draw(st.sampled_from([0.0, 9.0, 100.0])),
+        p_cm_w=draw(st.sampled_from([0.0, 0.2])), p_0m_w=draw(st.sampled_from([0.0, 0.2])),
+        p_bt_w_per_gbps=draw(st.sampled_from([0.0, 0.25])), n_topologies=1, n_mc=draw(st.integers(20, 300)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=valid_configs())
+@example(config=SINGLE_USER_AT_FULL_LOAD)
+@example(config=QOS_FACE)
+def test_any_valid_config_gives_one_known_status_row_per_point(config):
+    # One bad topology or solve gives a status row and the sweep goes on.
+    config.validate()
+    rows = run_topology(config, config.m_list, 0, config.rho_f_w_list)
+    assert len(rows) == len(config.m_list) * len(config.rho_f_w_list) * len(config.schemes)
+    assert {r.status for r in rows} <= KNOWN_STATUSES
 
 
 def _per_instance_rows(config):
