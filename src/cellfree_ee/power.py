@@ -193,12 +193,12 @@ def check_feasibility(
     qos_margin = per_user_rate(eta, zf.gamma, params) - qos.r_bar
     ap_margin = 1.0 - zf.theta @ eta
     violations = []
-    for k in np.nonzero(qos_margin < -tol)[0]:
+    for k in np.nonzero(~(qos_margin >= -tol))[0]:  # ~(x >= -tol), so NaN is a violation too
         violations.append(f"user {k}: rate short of floor by {-qos_margin[k]:.3e} bits/s/Hz")
-    for m in np.nonzero(ap_margin < -tol)[0]:
+    for m in np.nonzero(~(ap_margin >= -tol))[0]:
         violations.append(f"AP {m}: power budget exceeded by {-ap_margin[m]:.3e}")
-    if eta.min(initial=0.0) < -tol:
-        violations.append(f"negative power coefficient {eta.min():.3e}")
+    if not np.all(eta >= -tol):
+        violations.append(f"negative or NaN power coefficient {eta.min():.3e}")
     return FeasibilityReport(
         feasible=not violations,
         qos_margin=qos_margin,

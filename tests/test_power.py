@@ -191,6 +191,20 @@ class TestCheckFeasibility:
         assert np.all(np.abs(report.qos_margin) <= 1e-12)
         assert report.ap_margin.min() == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "eta",
+        [[np.nan, np.nan], [np.nan, 1e-20], [np.inf, 1e-20], [-np.inf, 1e-20]],
+        ids=["nan", "one-nan", "inf", "-inf"],
+    )
+    def test_nonfinite_power_is_a_violation(self, eta):
+        # NaN fails every comparison, so a margin test written as "x < -tol"
+        # would let it through as feasible.
+        params, zf = self._setup()
+        qos = QosSpec.from_floor(np.zeros(2), params)
+        report = check_feasibility(np.array(eta), zf, params, qos)
+        assert not report.feasible
+        assert report.violations
+
     def test_budget_violation_reported(self):
         params, zf = self._setup()
         qos = QosSpec.from_floor(np.zeros(2), params)
