@@ -36,8 +36,7 @@ _MU_TARGET = 10.0
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
-# A minimal per-AP load within this times max(u) of one is one up to roundoff;
-# _minimal_power_start alone decides with it when a start is the only point.
+# Minimal load within this times max(u) of one is one (read only by _minimal_power_start).
 LOAD_ROUNDOFF = 1e-12
 
 
@@ -233,14 +232,12 @@ def _solve_newton(newton, grad_phi):
 
 
 def feasible_point(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
-    """Feasible power allocation for the QoS-constrained problem, and whether it is interior.
+    """Start for the QoS-constrained problem: (PowerAllocation or None, interior).
 
-    Returns (PowerAllocation or None, interior). In the scaled units
-    w = eta / eta_scale, with f the SINR floors and rho_hat = rho_f * eta_scale,
-    user k's QoS row rho_f eta_k >= f_k (1 + rho_f gamma[k] . eta) reads
-    ((I - diag(f) gamma) w)_k >= f_k / rho_hat, and the per-AP rows read
-    theta_hat @ w <= 1; see _minimal_power_start, which decides both the
-    allocation and the verdict.
+    In the scaled units w = eta / eta_scale, with f the SINR floors and
+    rho_hat = rho_f * eta_scale, user k's QoS row rho_f eta_k >= f_k (1 +
+    rho_f gamma[k] . eta) reads ((I - diag(f) gamma) w)_k >= f_k / rho_hat, and
+    the per-AP rows read theta_hat @ w <= 1; _minimal_power_start gives both.
     """
     theta = zf.theta
     eta_scale = float(equal_power_allocation(theta).eta[0])
