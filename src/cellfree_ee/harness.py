@@ -7,7 +7,8 @@ an instance at one transmit power: the equal-power baseline, the perfect-CSI
 optimizer, and the imperfect-CSI optimizer. Sweeps build each instance once,
 aggregate run points over AP counts or per-AP transmit powers, and write
 schema-stable CSV files. Along the transmit powers of one instance, each
-imperfect-CSI solve starts next to the optimum at the previous power.
+point reuses the optimum at the previous power where no per-AP row binds, and
+each imperfect-CSI solve otherwise starts next to it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .dinkelbach import solve_pce
 from .inner import InfeasibleStartError, NonConcaveObjectiveError
 from .power import (
+    PowerAllocation,
     QosSpec,
     energy_efficiency,
     equal_power_allocation,
@@ -41,6 +43,9 @@ AGGREGATE_HEADER = (
 )
 ALL_SCHEMES = ("equal", "ipce", "pce")
 QOS_EQUAL_POWER_RATE = "equal-power-rate"
+# Busiest per-AP load up to which an optimum counts as leaving every per-AP
+# row slack, so that it carries over to another per-AP power cap.
+REUSE_MAX_LOAD = 1.0 - 1e-3
 
 
 class ConfigError(ValueError):
@@ -244,12 +249,19 @@ def _instance_seeds(seed: int) -> list:
 def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm=None) -> list:
     """One instance evaluated at one per-AP power under every requested scheme.
 
-    warm, optional, is (rho_f_w_prev, eta_prev): another per-AP power and
-    the imperfect-CSI optimum found at it on the same instance. The IPCE solve
-    then starts next to eta_prev scaled by rho_f_w_prev / rho_f_w, which keeps
-    every SINR and scales every AP load by the same ratio; solve_ipce steps
-    towards it only as far as every row allows. Without warm the solve
-    cold-starts.
+    warm, optional, is the list of rows run_point gave on the same instance
+    at another per-AP power. Scaling a row's eta by rho_f_prev / rho_f_w
+    keeps every SINR, QoS row and watt of amplifier power, and scales every
+    AP load by that ratio: with x = rho_f * eta only the per-AP rows
+    theta @ x <= rho_f see the cap. So an optimized row is reused, not
+    solved, when the floors are fixed (the equal-power-rate floors move with
+    the power), the row is `converged`, and its busiest AP load is at most
+    REUSE_MAX_LOAD both before and after scaling. A reused row has the
+    scaled eta, the source's status and 0 iterations, and its EE and sum SE
+    at this cap. Otherwise the IPCE solve starts next to the scaled point
+    where there is one (solve_ipce steps towards it only as far as every row
+    allows), and every other solve cold-starts, as every solve does without
+    warm.
 
     Fully deterministic given (config, instance, rho_f_w, warm). config must
     have passed validate(), which rejects unknown schemes. Infeasible or
@@ -277,24 +289,30 @@ def run_point(config: ExperimentConfig, instance: Instance, rho_f_w: float, warm
 
     equal = equal_power_allocation(zf.theta)
     floors = config.qos_floor_for(config.k)
+    fixed_floors = floors is not None
     if floors is None:
         # Equal-power-rate rule: floor every user at the baseline's worst rate,
         # which keeps the baseline feasible and the comparison meaningful.
         floors = np.full(config.k, float(per_user_rate(equal.eta, zf.gamma, params).min()))
     qos = QosSpec.from_floor(floors, params)
-    warm_eta = None if warm is None else warm[1] * (warm[0] / rho_f_w)
+    sources = {r.scheme: r for r in warm or ()}
 
     zf_perfect = dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))
     rows = []
     for scheme in config.schemes:
+        source = sources.get(scheme)
+        scaled = None if source is None or source.eta is None else source.eta * (source.rho_f_w / rho_f_w)
         if scheme == "equal":
             alloc, iters, status = equal, 0, STATUS_CONVERGED
+        elif (fixed_floors and scaled is not None and source.status == STATUS_CONVERGED
+              and max(np.max(zf.theta @ source.eta), np.max(zf.theta @ scaled)) <= REUSE_MAX_LOAD):
+            alloc, iters, status = PowerAllocation(eta=scaled), 0, source.status
         else:
             try:
                 if scheme == "pce":
                     alloc, report = solve_pce(zf, params, qos)
                 else:
-                    alloc, report = solve_ipce(zf, params, qos, warm=warm_eta)
+                    alloc, report = solve_ipce(zf, params, qos, warm=scaled)
                 iters, status = report.outer_iterations, report.status
             except (NonConcaveObjectiveError, InfeasibleStartError) as exc:
                 # One failed solve becomes a NaN row; the sweep goes on.
@@ -347,12 +365,13 @@ def run_topology(config: ExperimentConfig, m_list: list, topology_index: int, rh
     pre-draws the largest M's first batch, which that M would allocate at
     once anyway, and is released when the call returns.
 
-    At each M the powers are chained in list order: each run_point is
-    warm-started from the power just before it when its IPCE row holds an
-    allocation. The first power and a power after an infeasible or error
-    IPCE row cold-start. A SingularChannelError while building an instance
-    gives NaN rows with status `error:SingularChannelError` for every power
-    and scheme at that M only.
+    At each M the powers are chained in list order: each run_point gets the
+    rows of the power just before it as warm, so it reuses or warm-starts
+    from them as run_point describes. The first power cold-starts, and so
+    does the IPCE solve after an infeasible or error IPCE row. A
+    SingularChannelError while building an instance gives NaN rows with
+    status `error:SingularChannelError` for every power and scheme at that M
+    only.
     """
     seed = run_seed(config, topology_index)
     prefix = 2 * min(ZF_BATCH, config.n_mc) * max(m_list) * config.k
@@ -372,10 +391,8 @@ def run_topology(config: ExperimentConfig, m_list: list, topology_index: int, rh
             continue
         warm = None
         for rho_f_w in rho_f_list:
-            point = run_point(config, instance, rho_f_w, warm=warm)
-            rows.extend(point)
-            ipce = next((r for r in point if r.scheme == "ipce" and r.eta is not None), None)
-            warm = None if ipce is None else (rho_f_w, ipce.eta)
+            warm = run_point(config, instance, rho_f_w, warm=warm)
+            rows.extend(warm)
     return rows
 
 

@@ -11,6 +11,7 @@ from cellfree_ee.cli import EXIT_ALL_INFEASIBLE, EXIT_CONFIG_ERROR, EXIT_OK, mai
 from cellfree_ee.harness import (
     AGGREGATE_HEADER,
     CSV_HEADER,
+    REUSE_MAX_LOAD,
     ConfigError,
     ExperimentConfig,
     aggregate_rows,
@@ -24,6 +25,8 @@ from cellfree_ee.harness import (
     write_outputs,
 )
 from cellfree_ee.inner import InfeasibleStartError
+from cellfree_ee.power import QosSpec, check_feasibility, make_power_params
+from cellfree_ee.reports import STATUS_CONVERGED, STATUS_MAX_ITER
 from cellfree_ee.sca import EE_TOL
 from cellfree_ee.zfstats import SingularChannelError
 
@@ -204,21 +207,22 @@ class TestSweeps:
         rows = sweep_rho_f(config)
         assert len(calls) == 2
         # A fresh instance per topology, each power warm-started from the
-        # IPCE row of the power before it.
+        # rows of the power before it.
         chained = []
         for t in range(config.n_topologies):
             instance = build_instance(config, 12, run_seed(config, t))
             warm = None
             for rho in config.rho_f_w_list:
-                point = run_point(config, instance, rho, warm=warm)
-                chained.extend(point)
-                warm = (rho, next(r for r in point if r.scheme == "ipce").eta)
+                warm = run_point(config, instance, rho, warm=warm)
+                chained.extend(warm)
         assert rows == sorted(chained, key=lambda r: (r.m, r.rho_f_w, r.scheme, r.seed))
 
     def test_descending_powers_warm_start_on_benchmark_seed(self):
-        # A power after a larger one starts next to the larger power's optimum
-        # scaled up by the ratio of the powers, which can overload an AP; the
-        # start then steps towards it only as far as every row allows.
+        # A power after a larger one scales the larger power's optimum up by
+        # the ratio of the powers. On this seed the scaled point leaves every
+        # per-AP row slack down to 0.2 W, so every power after 2.2 W reuses
+        # it; test_power_breaking_the_reuse_rule_is_solved covers a scaled
+        # point that overloads an AP.
         config, instance = self._benchmark_seed_instance()
         config = dataclasses.replace(config, rho_f_w_list=config.rho_f_w_list[::-1], schemes=("ipce",))
         chained = run_topology(config, [100], 0, config.rho_f_w_list)
@@ -229,8 +233,8 @@ class TestSweeps:
             assert warm.ee_bits_per_joule == pytest.approx(ref.ee_bits_per_joule, rel=EE_TOL)
 
     @staticmethod
-    def _spy_ipce(monkeypatch, fail_first=False):
-        """Record the warm argument of every solve_ipce call; optionally raise on the first."""
+    def _spy_ipce(monkeypatch, fail_first=False, max_iter_first=False):
+        """Record the warm argument of every solve_ipce call; optionally raise on the first or report it max-iter."""
         warms = []
         solve = harness.solve_ipce
 
@@ -238,21 +242,47 @@ class TestSweeps:
             warms.append(warm)
             if fail_first and len(warms) == 1:
                 raise InfeasibleStartError("start violates a constraint by 1.000e-16")
-            return solve(zf, params, qos, warm=warm)
+            alloc, report = solve(zf, params, qos, warm=warm)
+            if max_iter_first and len(warms) == 1:
+                report.status = STATUS_MAX_ITER
+            return alloc, report
 
         monkeypatch.setattr(harness, "solve_ipce", spy)
         return warms
 
     def test_power_after_infeasible_row_cold_starts(self, monkeypatch):
-        # A 1.0 bit/s/Hz floor cannot be met at 0.01 W but can at 0.2 W.
+        # A 1.0 bit/s/Hz floor cannot be met at 0.01 W but can at 0.2 W,
+        # where no per-AP row binds, so 0.4 W reuses the 0.2 W optimum.
         config = tiny_config(rho_f_w_list=[0.01, 0.2, 0.4], qos="1.0", n_topologies=1)
         warms = self._spy_ipce(monkeypatch)
         rows = run_topology(config, [12], 0, config.rho_f_w_list)
         ipce = [r for r in rows if r.scheme == "ipce"]
         assert [r.status for r in ipce] == ["infeasible", "converged", "converged"]
-        assert warms[0] is None and warms[1] is None and warms[2] is not None
+        assert warms == [None, None]
         cold = run_point(config, build_instance(config, 12, run_seed(config, 0)), 0.2)
         assert rows[len(config.schemes):2 * len(config.schemes)] == cold
+        assert ipce[2].iters == 0
+        assert ipce[2].ee_bits_per_joule == pytest.approx(ipce[1].ee_bits_per_joule, rel=1e-12)
+
+    # Each case breaks one condition of the reuse rule, so the second power's
+    # IPCE row is solved again, warm-started from the first. slack says
+    # whether the first power's busiest load is at most REUSE_MAX_LOAD before
+    # and after scaling it to the second power.
+    @pytest.mark.parametrize("qos, caps, max_iter_first, slack", [
+        ("equal-power-rate", [0.4, 0.8], False, (True, True)),
+        ("1.0", [0.2, 0.4], True, (True, True)),
+        ("0", [0.001, 0.002], False, (False, True)),
+        ("1.0", [1.0, 0.05], False, (True, False)),
+    ], ids=["equal-power-rate-floors", "max-iter-source", "binding-source", "descending-overload"])
+    def test_power_breaking_the_reuse_rule_is_solved(self, monkeypatch, qos, caps, max_iter_first, slack):
+        config = tiny_config(rho_f_w_list=caps, qos=qos, n_topologies=1, schemes=("ipce",))
+        warms = self._spy_ipce(monkeypatch, max_iter_first=max_iter_first)
+        source, row = run_topology(config, [12], 0, caps)
+        load = np.max(build_instance(config, 12, run_seed(config, 0)).zf.theta @ source.eta)
+        assert (load <= REUSE_MAX_LOAD, load * caps[0] / caps[1] <= REUSE_MAX_LOAD) == slack
+        assert source.status == (STATUS_MAX_ITER if max_iter_first else STATUS_CONVERGED)
+        assert len(warms) == 2 and warms[1] is not None
+        assert row.iters > 0
 
     def test_power_after_error_row_cold_starts(self, monkeypatch):
         config = tiny_config(rho_f_w_list=[0.2, 0.4, 0.8], n_topologies=1)
@@ -300,9 +330,8 @@ class TestSweeps:
         config, instance = self._benchmark_seed_instance()
         warm, statuses = None, []
         for rho in config.rho_f_w_list:
-            ipce = next(r for r in run_point(config, instance, rho, warm=warm) if r.scheme == "ipce")
-            statuses.append(ipce.status)
-            warm = (rho, ipce.eta)
+            warm = run_point(config, instance, rho, warm=warm)
+            statuses.append(next(r for r in warm if r.scheme == "ipce").status)
         assert statuses == ["converged"] * len(config.rho_f_w_list)
 
     def test_cold_solves_converge_on_benchmark_seed(self):
@@ -436,6 +465,60 @@ def test_any_valid_config_gives_one_known_status_row_per_point(config):
     rows = run_topology(config, config.m_list, 0, config.rho_f_w_list)
     assert len(rows) == len(config.m_list) * len(config.rho_f_w_list) * len(config.schemes)
     assert {r.status for r in rows} <= KNOWN_STATUSES
+
+
+# Relative EE gap allowed between a reused row and a cold solve at its cap.
+# Reuse is exact in theory, but both sides stop within the solvers'
+# tolerances, and converged rows on a face can stop up to 25 EE_TOL short
+# (ROADMAP direction 4), so the two can differ by a few times that.
+# perfbench's reference check uses the same 1e-4.
+REUSE_EE_BOUND = 1e-4
+
+
+@st.composite
+def fixed_floor_chains(draw):
+    """One-topology configs with fixed floors, zero included, and an ascending or descending cap list."""
+    k = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.floats(-1.5, np.log10(3.0)).map(lambda e: 10**e), min_size=3, max_size=3, unique=True))
+    qos = draw(st.one_of(st.just("0"), st.floats(-3.0, 0.0).map(lambda e: str(10**e))))
+    return ExperimentConfig(
+        m_list=[draw(st.integers(k + 1, 12))], k=k, rho_f_w_list=sorted(caps, reverse=draw(st.booleans())),
+        qos=qos, n_topologies=1, n_mc=draw(st.integers(50, 200)), master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=fixed_floor_chains())
+# Zero floors, ascending then descending: the IPCE rows at 1.0 and 0.5 W and
+# the PCE row at 0.5 W are reused, from a 0.2 W IPCE row that stopped about
+# 2e-6 short of the EE a warm re-solve at those caps reaches.
+@example(config=ExperimentConfig(m_list=[10], k=3, rho_f_w_list=[0.01, 0.05, 0.2, 1.0, 0.5], qos="0",
+                                 n_topologies=1, n_mc=1000, master_seed=33))
+def test_reused_rows_are_feasible_optima_at_their_cap(config):
+    # Wherever the rule holds the row is the scaled source: it keeps the
+    # source's status, takes 0 iterations, meets every row at its own cap,
+    # and its EE is a cold solve's there.
+    m = config.m_list[0]
+    rows = {(r.rho_f_w, r.scheme): r for r in run_topology(config, config.m_list, 0, config.rho_f_w_list)}
+    instance = build_instance(config, m, run_seed(config, 0))
+    zf = instance.zf
+    views = {"ipce": zf, "pce": dataclasses.replace(zf, gamma=np.zeros_like(zf.gamma))}
+    for prev, rho in zip(config.rho_f_w_list, config.rho_f_w_list[1:]):
+        cold = {r.scheme: r for r in run_point(config, instance, rho)}
+        for scheme, view in views.items():
+            source, row = rows[prev, scheme], rows[rho, scheme]
+            if source.status != STATUS_CONVERGED:
+                continue
+            load = np.max(zf.theta @ source.eta)
+            if max(load, load * prev / rho) > REUSE_MAX_LOAD:
+                continue
+            assert (row.status, row.iters) == (source.status, 0)
+            assert np.array_equal(row.eta, source.eta * (prev / rho))
+            params = make_power_params(m=m, bandwidth_hz=config.bandwidth_hz, p_tx_watts=rho,
+                                       noise_figure_db=config.noise_figure_db, tau=config.tau, tau_u=config.k)
+            qos = QosSpec.from_floor(config.qos_floor_for(config.k), params)
+            assert check_feasibility(row.eta, view, params, qos).feasible
+            assert row.ee_bits_per_joule == pytest.approx(cold[scheme].ee_bits_per_joule, rel=REUSE_EE_BOUND)
 
 
 def _per_instance_rows(config):
