@@ -190,7 +190,8 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Verify QoS floors, per-AP power budgets, and nonnegativity at eta."""
     eta = np.asarray(eta, dtype=float)
-    qos_margin = per_user_rate(eta, zf.gamma, params) - qos.r_bar
+    with np.errstate(invalid="ignore"):  # inf / inf in the rate gives NaN, a violation below
+        qos_margin = per_user_rate(eta, zf.gamma, params) - qos.r_bar
     ap_margin = 1.0 - zf.theta @ eta
     violations = []
     for k in np.nonzero(~(qos_margin >= -tol))[0]:  # ~(x >= -tol), so NaN is a violation too
