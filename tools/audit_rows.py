@@ -16,11 +16,14 @@ fall, the iteration changes, and every row that newly became NaN, `error:*`
 or `infeasible`. A last line counts the master seeds whose CSV and `_agg.csv`
 files are byte-identical between the trees; the row comparison alone misses
 a change in `wall_ms` or in the aggregate file. With `--identical`, any seed
-whose files differ fails the audit.
+whose files differ fails the audit. With `--ee-bound REL`, any row whose
+status did not change and whose EE moved by more than REL, relative, fails it.
 
 Exit codes: 0 no row newly bad (and, with --identical, every seed's files
-byte-identical), 1 some row newly bad, a row missing on one side, or with
---identical some seed's files differing, 2 usage error or a tree's run failed.
+byte-identical; with --ee-bound, no unchanged-status row past the bound),
+1 some row newly bad, a row missing on one side, with --identical some
+seed's files differing, or with --ee-bound some row past the bound, 2 usage
+error or a tree's run failed.
 """
 
 from __future__ import annotations
@@ -94,13 +97,17 @@ def relative(new: float, old: float) -> float:
     return (new - old) / abs(old) if old else (0.0 if new == old else math.inf)
 
 
-def compare(parent: dict, change: dict) -> tuple:
-    """The report lines and whether any row is newly bad or unmatched."""
+def compare(parent: dict, change: dict, ee_bound: float | None = None) -> tuple:
+    """The report lines and whether any row is newly bad, unmatched, or past ee_bound.
+
+    ee_bound, optional, is the largest relative EE change allowed on a row
+    whose status did not change.
+    """
     lines = []
     unmatched = sorted(set(parent) ^ set(change))
     for key in unmatched:
         lines.append(f"row only in {'parent' if key in parent else 'change'}: {key}")
-    differing, iteration_changes, newly_bad = [], [], []
+    differing, iteration_changes, newly_bad, over_bound = [], [], [], []
     transitions = collections.Counter()
     largest = collections.defaultdict(lambda: [0.0, 0.0, 0.0])  # |all|, |same status|, largest fall
     for key in sorted(set(parent) & set(change)):
@@ -120,6 +127,8 @@ def compare(parent: dict, change: dict) -> tuple:
             worst[0] = max(worst[0], abs(change_rel))
             if old["status"] == new["status"]:
                 worst[1] = max(worst[1], abs(change_rel))
+                if ee_bound is not None and abs(change_rel) > ee_bound:
+                    over_bound.append((key, change_rel))
             worst[2] = min(worst[2], change_rel)
 
     lines.append(f"rows compared: {len(set(parent) & set(change))}, differing: {len(differing)}")
@@ -147,7 +156,10 @@ def compare(parent: dict, change: dict) -> tuple:
     lines.append(f"rows newly NaN, error:* or infeasible: {len(newly_bad)}")
     for key, old_status, new_status, ee in newly_bad:
         lines.append(f"  {key}: status {old_status} -> {new_status}, ee {ee}")
-    return lines, bool(newly_bad or unmatched)
+    if ee_bound is not None:
+        lines.append(f"rows with unchanged status past the EE bound {ee_bound:.3e}: {len(over_bound)}")
+        lines.extend(f"  {key}: relative EE change {change_rel:+.3e}" for key, change_rel in over_bound)
+    return lines, bool(newly_bad or unmatched or over_bound)
 
 
 def main(argv=None) -> int:
@@ -159,11 +171,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, help="inclusive master-seed range, such as 300000-300099")
     parser.add_argument("--identical", action="store_true",
                         help="fail unless every seed's CSV and _agg.csv are byte-identical between the trees")
+    parser.add_argument("--ee-bound", type=float, metavar="REL",
+                        help="fail when a row whose status did not change moves its EE by more than REL, relative")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.ee_bound is not None and not 0.0 <= args.ee_bound < math.inf:
+        parser.error("--ee-bound must be finite and nonnegative")
     trees = [args.parent.resolve(), args.change.resolve()]
     config = args.config.resolve()
     for tree in trees:
@@ -184,7 +200,7 @@ def main(argv=None) -> int:
         parent, change = (read_rows(out, seeds) for out in out_dirs)
         identical = identical_seeds(*out_dirs, seeds)
 
-    lines, failed = compare(parent, change)
+    lines, failed = compare(parent, change, args.ee_bound)
     print(f"{args.command} {config.name} master seeds {seeds[0]}-{seeds[-1]}")
     print("\n".join(lines))
     print(f"byte-identical CSV and _agg.csv: {identical} of {len(seeds)} seeds")
