@@ -27,6 +27,13 @@ the as-written model overestimates.
 Each model solve runs in v = z / z_scale, with the model divided by
 min(1, F(z_bar)), so the inner solver's tolerance is relative to F wherever
 F < 1 and stays the absolute one (which is then tighter) elsewhere.
+
+The model is separable in v, const - r/v^2 + l v - q v^2 per user with
+r, q > 0, so its unconstrained maximizer is the one root of a convex,
+decreasing gradient, which Newton finds. When that peak leaves every row
+strictly slack it is the model's optimum over them, with every multiplier
+zero, and the step skips the interior-point solve; otherwise solve_inner
+solves the model.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import ConstraintSet, feasible_point, solve_inner
+from .inner import TOL, ConstraintSet, feasible_point, solve_inner
 from .power import (
     PowerAllocation,
     PowerParams,
@@ -44,7 +51,7 @@ from .power import (
     equal_power_allocation,
     reduced_power,
 )
-from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER, SolveReport
+from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER, KktReport, SolveReport
 from .zfstats import ZfStatistics
 
 # Interior floor on the square-root coefficients, relative to the equal-power
@@ -60,6 +67,10 @@ MAX_HALVINGS = 30
 # weight keeps the blend strictly inside.
 WARM_BLEND = 1e-3
 _MINORANT_TOL = 1e-9
+# Newton steps on the model's stationarity condition before sca_step hands
+# the model to solve_inner, and the relative step at which the root is found.
+_PEAK_NEWTON_ITERS = 50
+_PEAK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,6 +197,14 @@ def sca_step(surr: Surrogate, zf: ZfStatistics, params: PowerParams, qos: QosSpe
     tolerance, which is the tighter one, when F >= 1. The rows are built here
     from the expansion point, in the order: the K linearized QoS rows, the
     per-AP loads and the interior floor v >= SCA_FLOOR.
+
+    The model's unconstrained peak comes first (_model_peak, Newton from the
+    expansion point). When it leaves every row strictly slack and its
+    stationarity is within inner.TOL, it is returned as the optimum with an
+    exact KktReport: status `converged`, stationarity |grad model|_inf at the
+    peak, zero multipliers, zero complementarity and 0 iterations. Otherwise,
+    including when Newton does not settle, solve_inner solves the model from
+    the expansion point and its answer is returned.
     Returns (z_new, KktReport).
     """
     theta = zf.theta
@@ -202,8 +221,35 @@ def sca_step(surr: Surrogate, zf: ZfStatistics, params: PowerParams, qos: QosSpe
     # The model is tight at its expansion point, so its value there is F(z_bar) > 0.
     f_bar = float(np.log1p(surr.x_n).sum()) / surr.t_n
     objective = concave_model(surr, zf, params, z_scale=z_scale, f_scale=1.0 / min(1.0, f_bar))
+    value, gradient, hessian = objective
+    peak = _model_peak(gradient, hessian, v_bar)
+    if peak is not None and constraints.slacks(peak).min() > 0.0:
+        # Strictly inside every row, the unconstrained peak is the optimum
+        # over them, and the KKT conditions hold with every multiplier zero.
+        stationarity = float(np.abs(gradient(peak)).max())
+        if stationarity <= TOL:
+            kkt = KktReport(objective=value(peak), stationarity=stationarity, comp_slackness=0.0, iterations=0,
+                            status=STATUS_CONVERGED, multipliers=np.zeros(len(constraints)))
+            return z_scale * peak, kkt
     v_new, report = solve_inner(objective, constraints, v_bar)
     return z_scale * v_new, report
+
+
+def _model_peak(gradient, hessian, v):
+    """Unconstrained maximizer of the concave model by Newton from v, or None if it does not settle.
+
+    Per user the model's gradient in v is 2r/v^3 + l - 2q v with r, q > 0:
+    convex and decreasing on v > 0, with one root. A Newton step from left of
+    the root lands between the point and the root, so from there the iterates
+    rise monotonically to it. A step from right of the root lands left of it,
+    possibly at or below zero, so the step is cut at half the point.
+    """
+    for _ in range(_PEAK_NEWTON_ITERS):
+        v_new = np.maximum(v - gradient(v) / hessian(v), 0.5 * v)
+        if np.all(np.abs(v_new - v) <= _PEAK_RTOL * v_new):
+            return v_new
+        v = v_new
+    return None
 
 
 def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):

@@ -9,8 +9,8 @@ from conftest import build_instance, grid_best_ee, loose_qos, perfect_view
 
 from cellfree_ee import sca
 from cellfree_ee.dinkelbach import GAP_TOL, solve_pce
-from cellfree_ee.harness import ExperimentConfig, build_instance as build_harness_instance, run_seed
-from cellfree_ee.inner import feasible_point, solve_inner
+from cellfree_ee.harness import ExperimentConfig, build_instance as build_harness_instance, run_point, run_seed
+from cellfree_ee.inner import TOL, feasible_point, solve_inner
 from cellfree_ee.power import (
     QosSpec,
     ZfStatistics,
@@ -159,6 +159,88 @@ class TestScaStep:
             assert model(z_next) >= model(z) - 1e-12 * max(1.0, abs(model(z)))
             probe = np.sqrt(eq.eta * rng.uniform(0.2, 1.0, size=2))
             assert model(probe) <= surrogate_value(surr, probe, zf, params) + 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    extra_aps=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    p_tx_watts=st.sampled_from([0.02, 0.2, 1.0]),
+    fraction=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_closed_step_is_the_model_optimum(k, extra_aps, seed, p_tx_watts, fraction):
+    # At every iterate of a solve, a step that skips solve_inner returns a
+    # point strictly inside every row where the model's gradient vanishes to
+    # roundoff, and no lower in the model than solve_inner's answer on the
+    # same objective, rows and start (the step rerun with the peak refused).
+    _, _, zf, params = build_instance(k + extra_aps, k, seed, n_mc=200, p_tx_watts=p_tx_watts)
+    qos = loose_qos(zf, params, fraction)
+    _, report = solve_ipce(zf, params, qos)
+    model_peak, peaks, calls = sca._model_peak, [], []
+
+    def peak(*args):
+        peaks.append(model_peak(*args))
+        return peaks[-1]
+
+    def inner(*args):
+        calls.append(args)
+        return solve_inner(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sca, "solve_inner", inner)
+        for eta in report.iterates:
+            surr = build_surrogate(np.sqrt(eta), zf, params)
+            patch.setattr(sca, "_model_peak", peak)
+            _, kkt = sca_step(surr, zf, params, qos)
+            if calls:
+                calls.clear()
+                continue
+            patch.setattr(sca, "_model_peak", lambda *args: None)
+            sca_step(surr, zf, params, qos)
+            (value, gradient, hessian), constraints, start = calls.pop()
+            v = peaks[-1]
+            assert constraints.slacks(v).min() > 0.0
+            assert kkt.status == STATUS_CONVERGED and kkt.comp_slackness == 0.0 and not kkt.multipliers.any()
+            # Each gradient term is at most |hessian v| in size, so this is roundoff.
+            assert kkt.stationarity == np.abs(gradient(v)).max() <= 1e-13 * np.abs(hessian(v) * v).max()
+            f_inner = value(solve_inner((value, gradient, hessian), constraints, start)[0])
+            assert kkt.objective == value(v) >= f_inner - TOL * max(1.0, abs(f_inner))
+
+
+def test_step_whose_peak_overloads_an_ap_is_solve_inners():
+    # The sweep_rhof benchmark op (M=100, K=16, floor 1 bit/s/Hz) at master
+    # seed 300000, cold at 0.2 W: the first model's peak overloads an AP, so
+    # that step returns solve_inner's answer as it is; every later peak is
+    # strictly inside every row and no later step calls solve_inner.
+    config = ExperimentConfig(m_list=[100], k=16, rho_f_w_list=[0.2], qos="1.0", n_mc=400, n_topologies=1,
+                              master_seed=300000)
+    instance = build_harness_instance(config, 100, run_seed(config, 0))
+    model_peak, step, steps = sca._model_peak, sca.sca_step, []
+
+    def peak(*args):
+        steps.append({"peak": model_peak(*args)})
+        return steps[-1]["peak"]
+
+    def inner(*args):
+        steps[-1]["inner"] = args, solve_inner(*args)
+        return steps[-1]["inner"][1]
+
+    def spied_step(*args):
+        steps[-1]["out"] = step(*args)
+        return steps[-1]["out"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, spy in (("_model_peak", peak), ("solve_inner", inner), ("sca_step", spied_step)):
+            patch.setattr(sca, name, spy)
+        rows = run_point(config, instance, 0.2)
+    assert [r.status for r in rows if r.scheme == "ipce"] == [STATUS_CONVERGED]
+    assert len(steps) >= 2 and all("inner" not in s for s in steps[1:])
+    (_, constraints, _), (v, kkt) = steps[0]["inner"]
+    assert constraints.slacks(steps[0]["peak"])[16:116].min() < 0.0
+    z_scale = np.sqrt(equal_power_allocation(instance.zf.theta).eta[0])
+    z_new, kkt_out = steps[0]["out"]
+    assert kkt_out is kkt and np.array_equal(z_new, z_scale * v)
 
 
 class TestSolveIpce:
