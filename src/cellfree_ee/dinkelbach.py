@@ -21,6 +21,7 @@ from .power import (
     energy_efficiency,
     equal_power_allocation,
     reduced_energy_efficiency,
+    spectral_efficiency,
 )
 from .reports import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITER, SolveReport
 from .zfstats import ZfStatistics
@@ -76,7 +77,7 @@ def solve_pce(zf: ZfStatistics, params: PowerParams, qos: QosSpec):
 
     def sum_rate(v):
         """Sum spectral efficiency at v, bits/s/Hz."""
-        return prelog * float(np.sum(np.log2(1.0 + rho_hat * v)))
+        return prelog * float(np.sum(spectral_efficiency(rho_hat * v)))
 
     def denominator(v):
         return float(d_hat @ v) + p_fixed

@@ -18,6 +18,7 @@ from .zfstats import ZfStatistics
 
 BOLTZMANN = 1.380649e-23  # J/K
 NOISE_TEMPERATURE = 290.0  # K
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class QosSpec:
 
     r_bar: np.ndarray  # (K,), bits/s/Hz
     r_tilde: np.ndarray  # r_bar * tau / (tau - tau_u), the pre-log-free floors
-    sinr_floor: np.ndarray  # 2^r_tilde - 1, the minimum SINR
+    sinr_floor: np.ndarray  # 2^r_tilde - 1, the minimum SINR, through expm1
 
     @classmethod
     def from_floor(cls, r_bar, params: PowerParams) -> "QosSpec":
@@ -110,7 +111,12 @@ class QosSpec:
         if not np.all(np.isfinite(r_bar) & (r_bar >= 0)):
             raise ValueError("QoS floors must be nonnegative")
         r_tilde = r_bar * params.tau / (params.tau - params.tau_u)
-        return cls(r_bar=r_bar, r_tilde=r_tilde, sinr_floor=2.0**r_tilde - 1.0)
+        return cls(r_bar=r_bar, r_tilde=r_tilde, sinr_floor=np.expm1(LN2 * r_tilde))
+
+
+def spectral_efficiency(sinr):
+    """log2(1 + sinr), bits/s/Hz, through log1p so a small SINR keeps its relative precision."""
+    return np.log1p(sinr) / LN2
 
 
 def per_user_rate(eta: np.ndarray, gamma: np.ndarray, params: PowerParams) -> np.ndarray:
@@ -120,7 +126,7 @@ def per_user_rate(eta: np.ndarray, gamma: np.ndarray, params: PowerParams) -> np
     """
     eta = np.asarray(eta, dtype=float)
     denom = 1.0 + params.rho_f * (gamma @ eta)
-    return params.prelog * np.log2(1.0 + params.rho_f * eta / denom)
+    return params.prelog * spectral_efficiency(params.rho_f * eta / denom)
 
 
 def transmit_power_watts(eta: np.ndarray, theta: np.ndarray, params: PowerParams) -> float:

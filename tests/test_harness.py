@@ -420,6 +420,14 @@ QOS_FACE = ExperimentConfig(
     rho_r_w=0.0002620981569145874, qos="0.0225", p_cir_w=0.0, p_cm_w=0.0, p_0m_w=0.0, p_bt_w_per_gbps=0.25,
     n_topologies=1, n_mc=267, master_seed=599982113,
 )
+# One user at a sum SE near 1e-8 bit/s/Hz, floored at its equal-power rate:
+# log2(1 + x) and 2**r - 1 each lose about eps/SINR there, which once made
+# both 1.41 mW ipce rows read infeasible next to a converged equal row.
+SINGLE_USER_AT_TINY_SINR = ExperimentConfig(
+    m_list=[5, 10], k=1, area_side_km=6.020026082688569, sigma_shad_db=2.313207474395127, tau=45,
+    rho_f_w_list=[0.0014135322446902898, 0.011717630361922212, 0.029329042859641094], rho_r_w=0.0483622036179605,
+    qos="equal-power-rate", p_cir_w=9.0, n_topologies=1, n_mc=210, master_seed=4137740519,
+)
 KNOWN_STATUSES = {"converged", "max-iter", "infeasible"} | {
     f"error:{name}" for name in ("NonConcaveObjectiveError", "InfeasibleStartError", "SingularChannelError")
 }
@@ -437,13 +445,25 @@ def test_single_user_floored_at_full_load_is_its_only_feasible_point():
         assert ipce.ee_bits_per_joule == pytest.approx(equal.ee_bits_per_joule, rel=1e-12)
 
 
+def test_single_user_at_tiny_sinr_meets_its_equal_power_floor():
+    # The equal-power point meets every equal-power-rate floor, so the ipce
+    # row is feasible and ends at that point's EE.
+    config = SINGLE_USER_AT_TINY_SINR
+    rows = run_topology(config, config.m_list, 0, config.rho_f_w_list)
+    at_low = {(r.m, r.scheme): r for r in rows if r.rho_f_w == config.rho_f_w_list[0]}
+    for m in config.m_list:
+        ipce, equal = at_low[m, "ipce"], at_low[m, "equal"]
+        assert equal.status == ipce.status == "converged"
+        assert ipce.ee_bits_per_joule == pytest.approx(equal.ee_bits_per_joule, rel=1e-6)
+
+
 @st.composite
-def valid_configs(draw):
+def valid_configs(draw, qos=None):
     """One-topology configs that validate() accepts, over ROADMAP direction 5's ranges."""
     k = draw(st.integers(1, 6))
     m_list = draw(st.lists(st.integers(k + 1, k + 24), min_size=1, max_size=2, unique=True))
     caps = draw(st.lists(st.floats(-4.0, np.log10(30.0)).map(lambda e: 10**e), min_size=3, max_size=3, unique=True))
-    qos = draw(st.one_of(st.just("0"), st.just("equal-power-rate"), st.floats(-3.0, 1.0).map(lambda e: str(10**e))))
+    qos = qos or draw(st.one_of(st.just("0"), st.just("equal-power-rate"), st.floats(-3.0, 1.0).map(lambda e: str(10**e))))
     return ExperimentConfig(
         m_list=m_list, k=k, area_side_km=10 ** draw(st.floats(np.log10(0.03), 1.0)),
         sigma_shad_db=draw(st.floats(0.0, 20.0)), d_min_km=draw(st.sampled_from([0.001, 0.01])),
@@ -465,6 +485,16 @@ def test_any_valid_config_gives_one_known_status_row_per_point(config):
     rows = run_topology(config, config.m_list, 0, config.rho_f_w_list)
     assert len(rows) == len(config.m_list) * len(config.rho_f_w_list) * len(config.schemes)
     assert {r.status for r in rows} <= KNOWN_STATUSES
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=valid_configs(qos="equal-power-rate"))
+@example(config=SINGLE_USER_AT_TINY_SINR)
+def test_equal_power_rate_floors_are_never_infeasible(config):
+    # The equal-power point meets each user's equal-power rate, so neither
+    # optimizer may call the problem infeasible.
+    rows = run_topology(config, config.m_list, 0, config.rho_f_w_list)
+    assert not [(r.m, r.rho_f_w, r.scheme) for r in rows if r.scheme != "equal" and r.status == "infeasible"]
 
 
 # Relative EE gap allowed between a reused row and a cold solve at its cap.
