@@ -55,26 +55,51 @@ class SharedNormals:
         self._prefix = self._rng.standard_normal(prefix)
         self._prefix.flags.writeable = False
 
-    def reader(self):
+    def reader(self) -> "_Reader":
         """A draw callable, shape -> array, reading the stream from position 0."""
+        return _Reader(self._prefix, origin=self._rng)
+
+
+class _Reader:
+    """A draw callable, shape -> standard normals: `prefix`, then a generator.
+
+    The generator is `rng`, or where that is None a copy of `origin` made at
+    the first read past the prefix. tell marks the position (values read and
+    the generator's state) and seek returns to a mark, so draws made ahead
+    can be taken back.
+    """
+
+    def __init__(self, prefix: np.ndarray, rng=None, origin=None):
+        self._prefix = prefix
+        self._rng = rng
+        self._origin = origin
+        self._pos = 0
+
+    def __call__(self, shape):
         prefix = self._prefix
-        pos = 0
-        rng = None
+        start, self._pos = self._pos, self._pos + math.prod(shape)
+        if self._pos <= prefix.size:
+            return prefix[start : self._pos].reshape(shape)
+        out = np.empty(self._pos - start)
+        head = prefix[start:]
+        out[: head.size] = head
+        if self._rng is None:
+            self._rng = copy.deepcopy(self._origin)
+        self._rng.standard_normal(out=out[head.size :])
+        return out.reshape(shape)
 
-        def draw(shape):
-            nonlocal pos, rng
-            start, pos = pos, pos + math.prod(shape)
-            if pos <= prefix.size:
-                return prefix[start:pos].reshape(shape)
-            out = np.empty(pos - start)
-            head = prefix[start:]
-            out[: head.size] = head
-            if rng is None:
-                rng = copy.deepcopy(self._rng)
-            rng.standard_normal(out=out[head.size :])
-            return out.reshape(shape)
+    def tell(self) -> tuple:
+        return self._pos, None if self._rng is None else self._rng.bit_generator.state
 
-        return draw
+    def seek(self, mark: tuple) -> None:
+        self._pos, state = mark
+        if state is None:
+            self._rng = None
+        else:
+            self._rng.bit_generator.state = state
+
+
+_NO_PREFIX = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -133,9 +158,9 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng) -> ZfStatistics:
         raise ValueError(f"need M > K for invertibility, got M={m}, K={k}")
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    draw = rng.reader() if isinstance(rng, SharedNormals) else np.random.default_rng(rng).standard_normal
+    draw = rng.reader() if isinstance(rng, SharedNormals) else _Reader(_NO_PREFIX, np.random.default_rng(rng))
 
-    def terms(precoder, _):
+    def terms(precoder, *_):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
@@ -174,6 +199,11 @@ def validate_sinr(
     unit receiver noise). The desired term is deterministic and equals
     rho_f * eta_k per realization; the interference term is averaged and
     returned with its standard error for comparison against the gamma model.
+
+    rng gives each batch the normals of the estimated channel, then of the
+    error channel, then one row of symbol phases per accepted draw. A batch
+    drawn ahead on a worker thread (see _zf_sums) is taken back where that
+    guessed wrong, so rng ends where drawing the batches in turn leaves it.
     """
     eta = np.asarray(eta, dtype=float)
     k = stats.shape[1]
@@ -190,17 +220,19 @@ def validate_sinr(
     rng = np.random.default_rng(rng)
     amp = np.sqrt(eta)
 
-    def terms(precoder, g_err):
-        # Nothing draws between the chunks of a batch, so symbols drawn chunk
-        # by chunk read the stream that one draw per batch would.
-        symbols = np.exp(2j * np.pi * rng.random((precoder.shape[0], k)))
+    def draw_symbols(b):
+        return np.exp(2j * np.pi * rng.random((b, k)))
+
+    def terms(precoder, g_err, symbols):
         # error channel of user k through the precoder columns: (b', K, K)
         leak = np.swapaxes(g_err, 1, 2) @ precoder
         interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols)[:, :, None])[:, :, 0]
         p = np.abs(interf_amp) ** 2
         return p, p**2
 
-    (interf_sum, interf_sq), accepted, _ = _zf_sums(stats, n_mc, rng.standard_normal, terms, with_error=True)
+    (interf_sum, interf_sq), accepted, _ = _zf_sums(
+        stats, n_mc, _Reader(_NO_PREFIX, rng), terms, with_error=True, draw_symbols=draw_symbols
+    )
 
     return SinrValidation(
         desired=rho_f * eta,
@@ -211,52 +243,75 @@ def validate_sinr(
     )
 
 
-def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False) -> tuple:
+def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False, draw_symbols=None) -> tuple:
     """Sums of per-draw terms over zero-forcing draws until n_mc are accepted.
 
     Each batch of at most ZF_BATCH draws takes the normals of g_hat, then of
-    g_err when with_error is set, with one call each of draw (shape ->
-    standard normals), and runs _batched_zf on chunks of at most CHUNK_BYTES
-    of complex draws (at least one draw). Where the process may use two
-    CPUs, a batch of several chunks has one worker thread compute the odd
-    chunks' precoders while the caller computes the even ones. An error in
-    the worker's chunk is raised at that chunk's turn, and no thread outlives
-    the call.
-    terms(precoder, g_err) returns arrays with one row per accepted draw of
-    the chunk; g_err holds those draws' error channels, or None. terms runs
-    in the caller, chunk by chunk in order. Each batch sums its rows in order
-    over its chunks, and the batch sums are added up. Returns (sums,
-    accepted, attempted). Raises SingularChannelError once more than
-    2 * n_mc + 1000 draws have been attempted.
+    g_err when with_error is set, with one call each of draw (a _Reader),
+    then draw_symbols(b), where given, for one row per draw of the batch; the
+    stream then goes on after the rows of the accepted draws alone, so a
+    batch with a rejected draw rewinds to its mark and redraws those rows.
+    Each batch runs _batched_zf on chunks of at most CHUNK_BYTES of complex
+    draws (at least one draw).
+
+    Where the process may use two CPUs, one worker thread helps. If a batch
+    holds several chunks, it computes the odd chunks' precoders while the
+    caller computes the even ones. If batches are one chunk and there are
+    several, it draws batch i+1, sized as if every draw of batch i is
+    accepted, while the caller works on batch i; after a rejection the
+    caller waits for that draw, rewinds to batch i's mark and draws batch
+    i+1 itself. Either way the values and the stream's final position are
+    those of drawing in turn. An error in the worker is raised where its
+    result is taken, and no thread outlives the call. A call of one batch of
+    one chunk starts no thread.
+
+    terms(precoder, g_err, symbols) returns arrays with one row per accepted
+    draw of the chunk; g_err holds those draws' error channels and symbols
+    their symbol rows, or None. terms runs in the caller, chunk by chunk in
+    order. Each batch sums its rows in order over its chunks, and the batch
+    sums are added up. Returns (sums, accepted, attempted). Raises
+    SingularChannelError once more than 2 * n_mc + 1000 draws have been
+    attempted.
     """
     m, k = stats.shape
     chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
     scale_hat = np.sqrt(stats.var_hat / 2.0)
     scale_err = np.sqrt(stats.var_err / 2.0)
     # No batch is larger than the first, so where the first is one chunk no
-    # batch hands off. concurrent.futures is imported only where one can: it
-    # takes 0.6 MB, and at module top it would slow the package import.
+    # batch hands off chunks; the worker then draws ahead instead, where
+    # there is more than one batch. concurrent.futures is imported only where
+    # a worker runs: it takes 0.6 MB, and at module top it would slow the
+    # package import.
     paired = chunk < min(ZF_BATCH, n_mc) and _usable_cpus() > 1
-    if paired:
+    draw_ahead = chunk >= ZF_BATCH and n_mc > ZF_BATCH and _usable_cpus() > 1
+    if paired or draw_ahead:
         from concurrent.futures import ThreadPoolExecutor
     sums = None
     accepted = 0
     attempts = 0
     max_attempts = 2 * n_mc + 1000
 
+    def draw_batch(b):
+        normals_hat = draw((2, b, m, k))
+        normals_err = draw((2, b, m, k)) if with_error else None
+        mark = draw.tell() if draw_ahead or draw_symbols else None
+        return b, normals_hat, normals_err, mark, draw_symbols(b) if draw_symbols else None
+
     def precoders(normals_hat, start):
         return _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start : start + chunk]))
 
-    with ThreadPoolExecutor(max_workers=1) if paired else contextlib.nullcontext() as pool:
-        while accepted < n_mc:
-            b = min(ZF_BATCH, n_mc - accepted)
-            normals_hat = draw((2, b, m, k))
-            normals_err = draw((2, b, m, k)) if with_error else None
+    with ThreadPoolExecutor(max_workers=1) if paired or draw_ahead else contextlib.nullcontext() as pool:
+        drawn = draw_batch(min(ZF_BATCH, n_mc))
+        while True:
+            b, normals_hat, normals_err, mark, symbols = drawn
             attempts += b
             starts = range(0, b, chunk)
             handoff = paired and len(starts) > 1
             ahead = pool.submit(precoders, normals_hat, starts[1]) if handoff else None
+            guess = min(ZF_BATCH, n_mc - accepted - b)
+            upcoming = pool.submit(draw_batch, guess) if draw_ahead and guess > 0 else None
             batch = None
+            taken = 0
             for j, start in enumerate(starts):
                 if handoff and j % 2:
                     # The worker's chunk; queue its next one before waiting,
@@ -267,18 +322,32 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False)
                     precoder, ok = done.result()
                 else:
                     precoder, ok = precoders(normals_hat, start)
-                accepted += precoder.shape[0]
+                n_ok = precoder.shape[0]
                 stop = start + chunk
                 g_err = _complex_from_normals(scale_err, normals_err[:, start:stop][:, ok]) if with_error else None
-                rows = terms(precoder, g_err)
+                rows = terms(precoder, g_err, None if symbols is None else symbols[taken : taken + n_ok])
+                taken += n_ok
                 if batch is None:
                     batch = [r.sum(axis=0) for r in rows]
                 else:
                     batch = [_carry_sum(c, r) for c, r in zip(batch, rows)]
+            accepted += taken
             sums = batch if sums is None else [s + c for s, c in zip(sums, batch)]
+            if mark is not None and (taken < b or attempts > max_attempts):
+                # Take back what was drawn as if every draw were accepted:
+                # the worker's next batch (waited for, any error dropped) and
+                # the symbol rows of the rejected draws.
+                if upcoming is not None:
+                    upcoming.exception()
+                    upcoming = None
+                draw.seek(mark)
+                if draw_symbols:
+                    draw_symbols(taken)
             if attempts > max_attempts:
                 raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
-    return sums, accepted, attempts
+            if accepted >= n_mc:
+                return sums, accepted, attempts
+            drawn = upcoming.result() if upcoming is not None else draw_batch(min(ZF_BATCH, n_mc - accepted))
 
 
 def _usable_cpus() -> int:

@@ -419,13 +419,39 @@ class TestWorkerThread:
         monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("a chunk was handed off"))
         _assert_same_statistics(estimate_zf_statistics(stats, self.N_MC, 3), paired)
 
-    def test_one_chunk_batches_start_no_thread(self, monkeypatch, two_cpus):
+    def test_one_batch_call_starts_no_thread(self, monkeypatch, two_cpus):
+        # Every gated sweep estimate is one batch of one chunk or more; at
+        # M=16, K=2 it is one chunk, so nothing is handed off and no position
+        # is marked.
         from concurrent.futures import ThreadPoolExecutor
 
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("a chunk was handed off"))
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("work was handed off"))
+        monkeypatch.setattr(zfstats._Reader, "tell", lambda self: pytest.fail("a position was marked"))
         stats = _stats(16, 2, seed=11)
-        zf = estimate_zf_statistics(stats, 2000, 3)
-        validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=5.0, n_mc=2000, rng=4)
+        before = threading.active_count()
+        zf = estimate_zf_statistics(stats, zfstats.ZF_BATCH, 3)
+        estimate_zf_statistics(stats, 300, SharedNormals(3, 2 * 300 * 20 * 2))
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        monkeypatch.setattr(zfstats, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("work was handed off"))
+        validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=5.0, n_mc=zfstats.ZF_BATCH, rng=4)
+
+    def test_one_chunk_batches_hand_their_draws_to_the_worker(self, monkeypatch, two_cpus):
+        # At M=16, K=2 each batch is one chunk, so the worker gets no chunk,
+        # only the next batch's draws: one hand-off per batch after the first.
+        from concurrent.futures import ThreadPoolExecutor
+
+        handed = []
+        submit = ThreadPoolExecutor.submit
+
+        def spy(pool, fn, *args):
+            handed.append(fn.__name__)
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        _assert_validate_matches(_stats(16, 2, seed=11), 2000, 3000)
+        assert handed == ["draw_batch"] * (3 + 5)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch, two_cpus):
         # The error of a chunk the worker computed is raised where the
@@ -476,6 +502,159 @@ class TestWorkerThread:
 
         def child():
             zf = estimate_zf_statistics(stats, self.N_MC, 9)
+            sender.send((zf.gamma, zf.theta, zf.gamma_se, zf.theta_se))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert receiver.poll(60), "the forked child did not finish its estimate"
+            got = receiver.recv()
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        for g, w in zip(got, (want.gamma, want.theta, want.gamma_se, want.theta_se)):
+            assert np.array_equal(g, w)
+        assert process.exitcode == 0
+
+
+class TestDrawAhead:
+    """The next batch drawn on the worker, as if every draw were accepted, and taken back where one was not."""
+
+    @staticmethod
+    def _assert_estimate_matches(stats, n_mc, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        got = estimate_zf_statistics(stats, n_mc, rng)
+        oracle_rng = np.random.default_rng(rng_seed)
+        want = _oracle_estimate(stats, n_mc, oracle_rng)
+        _assert_same_statistics(got, want)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        return got
+
+    @staticmethod
+    def _first_batch(stats, n_mc, seed):
+        precoder, _, drawn = next(_oracle_batches(stats, n_mc, np.random.default_rng(seed), zfstats.ZF_BATCH))
+        return precoder.shape[0], drawn
+
+    def test_rejection_before_a_short_last_batch(self, monkeypatch, two_cpus):
+        # One of 512 draws of the first batch is rejected, so the last batch
+        # holds 489 draws where the worker drew 488.
+        stats = _stats(3, 2, seed=5)
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 200.0)
+        assert self._first_batch(stats, 1000, 0) == (511, 512)
+        assert self._assert_estimate_matches(stats, 1000, 0).n_rejected == 1
+
+    @staticmethod
+    def _assert_validate_matches(stats, zf, n_mc, rng_seed):
+        eta = np.geomspace(0.04, 0.01, stats.shape[1])
+        rng = np.random.default_rng(rng_seed)
+        out = validate_sinr(stats, zf, eta, rho_f=5.0, n_mc=n_mc, rng=rng)
+        oracle_rng = np.random.default_rng(rng_seed)
+        interference, interference_se, n = _oracle_validate(stats, zf, eta, 5.0, n_mc, oracle_rng)
+        assert np.array_equal(out.interference, interference)
+        assert np.array_equal(out.interference_se, interference_se)
+        assert out.n_realizations == n == n_mc
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_rejections_in_validation_batches(self, monkeypatch, two_cpus):
+        # About 5% of the draws are rejected, in every batch: each batch's
+        # symbol rows and the next batch's size differ from the worker's.
+        stats = _stats(3, 2, seed=5)
+        zf = estimate_zf_statistics(stats, 1000, 0)
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 30.0)
+        self._assert_validate_matches(stats, zf, 3000, 0)
+
+    def test_shared_stream_with_a_rejection(self, monkeypatch, two_cpus):
+        # The prefix is a first batch at M=5: the worker's second batch reads
+        # past it on a fresh copy of the generator, and the rejection in the
+        # first batch sends the reader back inside the prefix.
+        stats = _stats(3, 2, seed=5)
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 200.0)
+        got = estimate_zf_statistics(stats, 1000, SharedNormals(0, 2 * zfstats.ZF_BATCH * 5 * 2))
+        _assert_same_statistics(got, _oracle_estimate(stats, 1000, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("limit", [CONDITION_LIMIT, 200.0])
+    def test_caller_generator_ends_where_the_loop_leaves_it(self, monkeypatch, two_cpus, limit):
+        # An estimate then a validation on one Generator, as the criterion-3
+        # check runs them, with and without rejections.
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", limit)
+        stats = _stats(3, 2, seed=5)
+        rng = np.random.default_rng(7)
+        zf = estimate_zf_statistics(stats, 1500, rng)
+        oracle_rng = np.random.default_rng(7)
+        _oracle_estimate(stats, 1500, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=5.0, n_mc=1500, rng=rng)
+        _oracle_validate(stats, zf, np.array([0.04, 0.01]), 5.0, 1500, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_rejection_cap_leaves_the_generator_after_the_last_batch(self, two_cpus):
+        # Every draw is rejected; the loop raises after the batch that passes
+        # 2 * n_mc + 1000 attempts, with the worker's draw taken back.
+        var_hat = np.column_stack([np.full(6, 1e-10), np.zeros(6)])
+        stats = MmseStats(var_hat=var_hat, var_err=np.full((6, 2), 1e-12))
+        rng = np.random.default_rng(3)
+        before = threading.active_count()
+        with pytest.raises(SingularChannelError, match="rejection cap"):
+            estimate_zf_statistics(stats, 600, rng)
+        assert threading.active_count() == before
+        oracle_rng = np.random.default_rng(3)
+        with pytest.raises(SingularChannelError):
+            list(_oracle_batches(stats, 600, oracle_rng, zfstats.ZF_BATCH))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_worker_draw_error_reaches_the_caller(self, monkeypatch, two_cpus):
+        caller = threading.current_thread()
+        read = zfstats._Reader.__call__
+        raised = []
+
+        def failing(reader, shape):
+            if threading.current_thread() is not caller:
+                raised.append(shape)
+                raise MemoryError("draw failed")
+            return read(reader, shape)
+
+        monkeypatch.setattr(zfstats._Reader, "__call__", failing)
+        stats = _stats(16, 2, seed=11)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed"):
+            estimate_zf_statistics(stats, 2000, 3)
+        assert raised == [(2, 512, 16, 2)]
+        assert threading.active_count() == before
+
+    def test_short_switch_interval_changes_no_bit(self, monkeypatch, two_cpus):
+        # Threads switching every microsecond interleave the worker's draws
+        # with the caller's work at many points.
+        stats = _stats(3, 2, seed=5)
+        zf = estimate_zf_statistics(stats, 1000, 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._assert_estimate_matches(_stats(16, 2, seed=11), 3000, 10)
+            monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 30.0)
+            self._assert_validate_matches(stats, zf, 3000, 2)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_a_call(self, two_cpus):
+        stats = _stats(16, 2, seed=11)
+        before = threading.active_count()
+        zf = estimate_zf_statistics(stats, 2000, 7)
+        assert threading.active_count() == before
+        validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=2.0, n_mc=2000, rng=8)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_child_forked_after_an_estimate_finishes_its_own(self, two_cpus):
+        stats = _stats(16, 2, seed=11)
+        want = estimate_zf_statistics(stats, 2000, 9)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+
+        def child():
+            zf = estimate_zf_statistics(stats, 2000, 9)
             sender.send((zf.gamma, zf.theta, zf.gamma_se, zf.theta_se))
 
         process = ctx.Process(target=child)
