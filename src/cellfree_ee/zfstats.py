@@ -278,10 +278,10 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False,
     scale_hat = np.sqrt(stats.var_hat / 2.0)
     scale_err = np.sqrt(stats.var_err / 2.0)
     # No batch is larger than the first, so where the first is one chunk no
-    # batch hands off chunks; the worker then draws ahead instead, where
-    # there is more than one batch. concurrent.futures is imported only where
-    # a worker runs: it takes 0.6 MB, and at module top it would slow the
-    # package import.
+    # batch hands off chunks, and the worker draws ahead instead where there
+    # is more than one batch (queued with odd chunks, a draw only delays
+    # them). concurrent.futures is imported only where a worker runs: it
+    # takes 0.6 MB, and at module top it would slow the package import.
     paired = chunk < min(ZF_BATCH, n_mc) and _usable_cpus() > 1
     draw_ahead = chunk >= ZF_BATCH and n_mc > ZF_BATCH and _usable_cpus() > 1
     if paired or draw_ahead:

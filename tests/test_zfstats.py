@@ -420,22 +420,22 @@ class TestWorkerThread:
         _assert_same_statistics(estimate_zf_statistics(stats, self.N_MC, 3), paired)
 
     def test_one_batch_call_starts_no_thread(self, monkeypatch, two_cpus):
-        # Every gated sweep estimate is one batch of one chunk or more; at
-        # M=16, K=2 it is one chunk, so nothing is handed off and no position
-        # is marked.
+        # Every gated sweep estimate is one batch; at M=16, K=2 it is also
+        # one chunk, so nothing is handed off.
         from concurrent.futures import ThreadPoolExecutor
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("work was handed off"))
-        monkeypatch.setattr(zfstats._Reader, "tell", lambda self: pytest.fail("a position was marked"))
         stats = _stats(16, 2, seed=11)
         before = threading.active_count()
         zf = estimate_zf_statistics(stats, zfstats.ZF_BATCH, 3)
-        estimate_zf_statistics(stats, 300, SharedNormals(3, 2 * 300 * 20 * 2))
-        assert threading.active_count() == before
-        monkeypatch.undo()
-        monkeypatch.setattr(zfstats, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: pytest.fail("work was handed off"))
         validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=5.0, n_mc=zfstats.ZF_BATCH, rng=4)
+        assert threading.active_count() == before
+        # Nor does an estimate mark its position, which only a worker's draw
+        # could need to go back to; validate_sinr marks one per batch, as its
+        # symbol rows follow the accepted draws.
+        monkeypatch.setattr(zfstats._Reader, "tell", lambda self: pytest.fail("a position was marked"))
+        estimate_zf_statistics(stats, zfstats.ZF_BATCH, 3)
+        estimate_zf_statistics(stats, 300, SharedNormals(3, 2 * 300 * 20 * 2))
 
     def test_one_chunk_batches_hand_their_draws_to_the_worker(self, monkeypatch, two_cpus):
         # At M=16, K=2 each batch is one chunk, so the worker gets no chunk,
