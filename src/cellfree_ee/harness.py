@@ -34,7 +34,7 @@ from .power import (
 from .propagation import generate_topology, large_scale_fading, mmse_stats
 from .reports import STATUS_CONVERGED, STATUS_ERROR
 from .sca import solve_ipce
-from .zfstats import ZF_BATCH, SharedNormals, SingularChannelError, ZfStatistics, estimate_zf_statistics
+from .zfstats import SharedNormals, SingularChannelError, ZfStatistics, estimate_zf_statistics
 
 CSV_HEADER = "scheme,M,K,rho_f_w,qos_rule,seed,ee_bits_per_joule,sum_se,iters,status,wall_ms"
 AGGREGATE_HEADER = (
@@ -374,8 +374,7 @@ def run_topology(config: ExperimentConfig, m_list: list, topology_index: int, rh
     only.
     """
     seed = run_seed(config, topology_index)
-    prefix = 2 * min(ZF_BATCH, config.n_mc) * max(m_list) * config.k
-    normals = SharedNormals(_instance_seeds(seed)[2], prefix)
+    normals = SharedNormals.first_batch(_instance_seeds(seed)[2], config.n_mc, max(m_list), config.k)
     rows = []
     for m in m_list:
         try:

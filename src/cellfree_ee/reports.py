@@ -35,7 +35,6 @@ class SolveReport:
     inner_reports: list = field(default_factory=list)
     status: str = STATUS_MAX_ITER
     minorant_violations: int = 0
-    backtracks: int = 0  # step halvings of the SCA iteration; 0 for Dinkelbach
 
     @property
     def outer_iterations(self) -> int:

@@ -19,10 +19,9 @@ negative sign, so bounding it needs an upper bound on z_j^2/z_k^2, and the
 tangent of the quadratic-over-linear z_j^2/t at t = z_k^2 is a lower bound.
 A step can therefore overshoot; since the model's gradient matches F's at
 the expansion point, the step is still an ascent direction, and solve_ipce
-halves it along its segment until F does not fall (`SolveReport.backtracks`
-counts the halvings). The full EE increases with F, so it never falls
-either. `SolveReport.minorant_violations` counts the steps whose new point
-the as-written model overestimates.
+halves it along its segment until F does not fall. The full EE increases
+with F, so it never falls either. `SolveReport.minorant_violations` counts
+the steps whose new point the as-written model overestimates.
 
 Each model solve runs in v = z / z_scale, with the model divided by
 min(1, F(z_bar)), so the inner solver's tolerance is relative to F wherever
@@ -333,7 +332,6 @@ def solve_ipce(zf: ZfStatistics, params: PowerParams, qos: QosSpec, warm=None):
             halvings += 1
             z_new = z + 0.5**halvings * step
             truth = fractional_objective(z_new, zf, params)
-        report.backtracks += halvings
         if truth < f:
             z_new, truth = surr.expansion, f
 

@@ -55,6 +55,11 @@ class SharedNormals:
         self._prefix = self._rng.standard_normal(prefix)
         self._prefix.flags.writeable = False
 
+    @classmethod
+    def first_batch(cls, rng, n_mc: int, m: int, k: int) -> "SharedNormals":
+        """A stream that pre-draws the first batch of an n_mc-draw estimate at M APs and K users."""
+        return cls(rng, 2 * min(ZF_BATCH, n_mc) * m * k)
+
     def reader(self) -> "_Reader":
         """A draw callable, shape -> array, reading the stream from position 0."""
         return _Reader(self._prefix, origin=self._rng)
@@ -64,9 +69,7 @@ class _Reader:
     """A draw callable, shape -> standard normals: `prefix`, then a generator.
 
     The generator is `rng`, or where that is None a copy of `origin` made at
-    the first read past the prefix. tell marks the position (values read and
-    the generator's state) and seek returns to a mark, so draws made ahead
-    can be taken back.
+    the first read past the prefix.
     """
 
     def __init__(self, prefix: np.ndarray, rng=None, origin=None):
@@ -87,16 +90,6 @@ class _Reader:
             self._rng = copy.deepcopy(self._origin)
         self._rng.standard_normal(out=out[head.size :])
         return out.reshape(shape)
-
-    def tell(self) -> tuple:
-        return self._pos, None if self._rng is None else self._rng.bit_generator.state
-
-    def seek(self, mark: tuple) -> None:
-        self._pos, state = mark
-        if state is None:
-            self._rng = None
-        else:
-            self._rng.bit_generator.state = state
 
 
 _NO_PREFIX = np.empty(0)
@@ -160,7 +153,7 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng) -> ZfStatistics:
         raise ValueError("n_mc must be at least 1")
     draw = rng.reader() if isinstance(rng, SharedNormals) else _Reader(_NO_PREFIX, np.random.default_rng(rng))
 
-    def terms(precoder, *_):
+    def terms(precoder):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
@@ -201,9 +194,9 @@ def validate_sinr(
     returned with its standard error for comparison against the gamma model.
 
     rng gives each batch the normals of the estimated channel, then of the
-    error channel, then one row of symbol phases per accepted draw. A batch
-    drawn ahead on a worker thread (see _zf_sums) is taken back where that
-    guessed wrong, so rng ends where drawing the batches in turn leaves it.
+    error channel, then one row of symbol phases per draw of the batch; a
+    rejected draw's row goes unused. Batch sizes follow the schedule of
+    _zf_sums, so rng ends where drawing the batches in turn leaves it.
     """
     eta = np.asarray(eta, dtype=float)
     k = stats.shape[1]
@@ -231,7 +224,7 @@ def validate_sinr(
         return p, p**2
 
     (interf_sum, interf_sq), accepted, _ = _zf_sums(
-        stats, n_mc, _Reader(_NO_PREFIX, rng), terms, with_error=True, draw_symbols=draw_symbols
+        stats, n_mc, _Reader(_NO_PREFIX, rng), terms, draw_symbols
     )
 
     return SinrValidation(
@@ -243,35 +236,35 @@ def validate_sinr(
     )
 
 
-def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False, draw_symbols=None) -> tuple:
+def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, draw_symbols=None) -> tuple:
     """Sums of per-draw terms over zero-forcing draws until n_mc are accepted.
 
-    Each batch of at most ZF_BATCH draws takes the normals of g_hat, then of
-    g_err when with_error is set, with one call each of draw (a _Reader),
-    then draw_symbols(b), where given, for one row per draw of the batch; the
-    stream then goes on after the rows of the accepted draws alone, so a
-    batch with a rejected draw rewinds to its mark and redraws those rows.
-    Each batch runs _batched_zf on chunks of at most CHUNK_BYTES of complex
-    draws (at least one draw).
+    Scheduled batches of min(ZF_BATCH, n_mc - attempted) draws run until
+    n_mc draws have been attempted; only then are rejected draws made up, in
+    batches of min(ZF_BATCH, n_mc - accepted). So what is drawn does not
+    depend on acceptance until every scheduled batch is drawn. Each batch
+    takes the normals of g_hat with one call of draw (a _Reader), then, where
+    draw_symbols is given, the normals of g_err with another and
+    draw_symbols(b) for one symbol row per draw of the batch. Each batch runs
+    _batched_zf on chunks of at most CHUNK_BYTES of complex draws (at least
+    one draw).
 
     Where the process may use two CPUs, one worker thread helps. If a batch
     holds several chunks, it computes the odd chunks' precoders while the
     caller computes the even ones. If batches are one chunk and there are
-    several, it draws batch i+1, sized as if every draw of batch i is
-    accepted, while the caller works on batch i; after a rejection the
-    caller waits for that draw, rewinds to batch i's mark and draws batch
-    i+1 itself. Either way the values and the stream's final position are
-    those of drawing in turn. An error in the worker is raised where its
-    result is taken, and no thread outlives the call. A call of one batch of
-    one chunk starts no thread.
+    several, it draws the next scheduled batch while the caller works on the
+    current one; a make-up batch the caller draws itself. Either way the
+    values and the stream's final position are those of drawing in turn. An
+    error in the worker is raised where its result is taken, and no thread
+    outlives the call. A call of one batch of one chunk starts no thread.
 
-    terms(precoder, g_err, symbols) returns arrays with one row per accepted
-    draw of the chunk; g_err holds those draws' error channels and symbols
-    their symbol rows, or None. terms runs in the caller, chunk by chunk in
-    order. Each batch sums its rows in order over its chunks, and the batch
-    sums are added up. Returns (sums, accepted, attempted). Raises
-    SingularChannelError once more than 2 * n_mc + 1000 draws have been
-    attempted.
+    terms(precoder), or terms(precoder, g_err, symbols) where draw_symbols is
+    given, returns arrays with one row per accepted draw of the chunk; g_err
+    holds those draws' error channels and symbols their symbol rows. terms
+    runs in the caller, chunk by chunk in order. Each batch sums its rows in
+    order over its chunks, and the batch sums are added up. Returns (sums,
+    accepted, attempted). Raises SingularChannelError once more than
+    2 * n_mc + 1000 draws have been attempted.
     """
     m, k = stats.shape
     chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
@@ -293,9 +286,9 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False,
 
     def draw_batch(b):
         normals_hat = draw((2, b, m, k))
-        normals_err = draw((2, b, m, k)) if with_error else None
-        mark = draw.tell() if draw_ahead or draw_symbols else None
-        return b, normals_hat, normals_err, mark, draw_symbols(b) if draw_symbols else None
+        if draw_symbols is None:
+            return b, normals_hat, None, None
+        return b, normals_hat, draw((2, b, m, k)), draw_symbols(b)
 
     def precoders(normals_hat, start):
         return _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start : start + chunk]))
@@ -303,15 +296,14 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False,
     with ThreadPoolExecutor(max_workers=1) if paired or draw_ahead else contextlib.nullcontext() as pool:
         drawn = draw_batch(min(ZF_BATCH, n_mc))
         while True:
-            b, normals_hat, normals_err, mark, symbols = drawn
+            b, normals_hat, normals_err, symbols = drawn
             attempts += b
             starts = range(0, b, chunk)
             handoff = paired and len(starts) > 1
             ahead = pool.submit(precoders, normals_hat, starts[1]) if handoff else None
-            guess = min(ZF_BATCH, n_mc - accepted - b)
-            upcoming = pool.submit(draw_batch, guess) if draw_ahead and guess > 0 else None
+            scheduled = attempts < n_mc
+            upcoming = pool.submit(draw_batch, min(ZF_BATCH, n_mc - attempts)) if draw_ahead and scheduled else None
             batch = None
-            taken = 0
             for j, start in enumerate(starts):
                 if handoff and j % 2:
                     # The worker's chunk; queue its next one before waiting,
@@ -322,32 +314,23 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, with_error: bool = False,
                     precoder, ok = done.result()
                 else:
                     precoder, ok = precoders(normals_hat, start)
-                n_ok = precoder.shape[0]
-                stop = start + chunk
-                g_err = _complex_from_normals(scale_err, normals_err[:, start:stop][:, ok]) if with_error else None
-                rows = terms(precoder, g_err, None if symbols is None else symbols[taken : taken + n_ok])
-                taken += n_ok
+                accepted += precoder.shape[0]
+                if symbols is None:
+                    rows = terms(precoder)
+                else:
+                    g_err = _complex_from_normals(scale_err, normals_err[:, start : start + chunk][:, ok])
+                    rows = terms(precoder, g_err, symbols[start : start + chunk][ok])
                 if batch is None:
                     batch = [r.sum(axis=0) for r in rows]
                 else:
                     batch = [_carry_sum(c, r) for c, r in zip(batch, rows)]
-            accepted += taken
             sums = batch if sums is None else [s + c for s, c in zip(sums, batch)]
-            if mark is not None and (taken < b or attempts > max_attempts):
-                # Take back what was drawn as if every draw were accepted:
-                # the worker's next batch (waited for, any error dropped) and
-                # the symbol rows of the rejected draws.
-                if upcoming is not None:
-                    upcoming.exception()
-                    upcoming = None
-                draw.seek(mark)
-                if draw_symbols:
-                    draw_symbols(taken)
             if attempts > max_attempts:
                 raise SingularChannelError(f"rejection cap hit: {attempts - accepted} rejected in {attempts} attempts")
             if accepted >= n_mc:
                 return sums, accepted, attempts
-            drawn = upcoming.result() if upcoming is not None else draw_batch(min(ZF_BATCH, n_mc - accepted))
+            left = n_mc - (attempts if scheduled else accepted)
+            drawn = upcoming.result() if upcoming is not None else draw_batch(min(ZF_BATCH, left))
 
 
 def _usable_cpus() -> int:

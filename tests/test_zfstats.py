@@ -217,13 +217,13 @@ def _oracle_batches(stats, n_mc, rng, batch_size, with_error=False):
     attempts = 0
     max_attempts = 2 * n_mc + 1000
     while accepted < n_mc:
-        b = min(batch_size, n_mc - accepted)
+        b = min(batch_size, n_mc - attempts if attempts < n_mc else n_mc - accepted)
         g_hat = _oracle_complex_gaussian(stats.var_hat, rng, extra_shape=(b,))
         g_err = _oracle_complex_gaussian(stats.var_err, rng, extra_shape=(b,)) if with_error else None
         attempts += b
         precoder, ok = _oracle_batched_zf(g_hat)
         accepted += precoder.shape[0]
-        yield precoder, (g_err[ok] if with_error else None), b
+        yield precoder, (g_err[ok] if with_error else None), ok
         if attempts > max_attempts:
             raise SingularChannelError("rejection cap hit")
 
@@ -237,7 +237,7 @@ def _oracle_estimate(stats, n_mc, rng, batch_size=512):
     gamma_sq = np.zeros((k, k))
     accepted = 0
     attempts = 0
-    for precoder, _, drawn in _oracle_batches(stats, n_mc, rng, batch_size):
+    for precoder, _, ok in _oracle_batches(stats, n_mc, rng, batch_size):
         abs_b2 = np.abs(precoder) ** 2
         gamma_draw = stats.var_err.T @ abs_b2
         theta_sum += abs_b2.sum(axis=0)
@@ -245,7 +245,7 @@ def _oracle_estimate(stats, n_mc, rng, batch_size=512):
         gamma_sum += gamma_draw.sum(axis=0)
         gamma_sq += (gamma_draw**2).sum(axis=0)
         accepted += abs_b2.shape[0]
-        attempts += drawn
+        attempts += ok.size
     rejected = attempts - accepted
     if rejected / attempts > 0.01:
         raise SingularChannelError("rejection rate exceeds 1%")
@@ -267,9 +267,9 @@ def _oracle_validate(stats, zf, eta, rho_f, n_mc, rng, batch_size=512):
     interf_sum = np.zeros(k)
     interf_sq = np.zeros(k)
     accepted = 0
-    for precoder, g_err, _ in _oracle_batches(stats, n_mc, rng, batch_size, with_error=True):
+    for precoder, g_err, ok in _oracle_batches(stats, n_mc, rng, batch_size, with_error=True):
         nb = precoder.shape[0]
-        symbols = np.exp(2j * np.pi * rng.random((nb, k)))
+        symbols = np.exp(2j * np.pi * rng.random((ok.size, k)))[ok]
         leak = np.swapaxes(g_err, 1, 2) @ precoder
         interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols)[:, :, None])[:, :, 0]
         p = np.abs(interf_amp) ** 2
@@ -360,13 +360,13 @@ class TestBitwiseAgainstPerBatchLoop:
     def test_reject_and_redraw_path(self, monkeypatch):
         # Near-square channels with a limit low enough that a small share of
         # draws is rejected: the rejected draws go through the exact
-        # eigenvalue test and are redrawn in a second batch.
+        # eigenvalue test and are made up in a batch after the scheduled ones.
         stats = _stats(17, 16, seed=2)
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 7e3)
         exact_calls = _spy_exact_test(monkeypatch)
         got = estimate_zf_statistics(stats, 3000, np.random.default_rng(8))
         want = _oracle_estimate(stats, 3000, np.random.default_rng(8))
-        assert 0 < want.n_rejected <= 30  # 14 of 3014 attempts
+        assert 0 < want.n_rejected <= 30  # 13 of 3013 attempts
         assert exact_calls
         _assert_same_statistics(got, want)
         eta = np.full(16, 1e-3)
@@ -378,8 +378,8 @@ class TestBitwiseAgainstPerBatchLoop:
 
     def test_shared_stream_matches(self, monkeypatch):
         # A stream whose prefix is the first batch at a larger M: the reader
-        # serves the first batches from it and draws the rest, the redrawn
-        # second batch included, past its end.
+        # serves the first batches from it and draws the rest, the make-up
+        # batch included, past its end.
         stats = _stats(17, 16, seed=2)
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 7e3)
         got = estimate_zf_statistics(stats, 3000, SharedNormals(8, 2 * zfstats.ZF_BATCH * 40 * 16))
@@ -430,12 +430,6 @@ class TestWorkerThread:
         zf = estimate_zf_statistics(stats, zfstats.ZF_BATCH, 3)
         validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=5.0, n_mc=zfstats.ZF_BATCH, rng=4)
         assert threading.active_count() == before
-        # Nor does an estimate mark its position, which only a worker's draw
-        # could need to go back to; validate_sinr marks one per batch, as its
-        # symbol rows follow the accepted draws.
-        monkeypatch.setattr(zfstats._Reader, "tell", lambda self: pytest.fail("a position was marked"))
-        estimate_zf_statistics(stats, zfstats.ZF_BATCH, 3)
-        estimate_zf_statistics(stats, 300, SharedNormals(3, 2 * 300 * 20 * 2))
 
     def test_one_chunk_batches_hand_their_draws_to_the_worker(self, monkeypatch, two_cpus):
         # At M=16, K=2 each batch is one chunk, so the worker gets no chunk,
@@ -482,26 +476,34 @@ class TestWorkerThread:
             sys.setswitchinterval(interval)
         _assert_same_statistics(got, _oracle_estimate(stats, 3 * self.N_MC, np.random.default_rng(10)))
 
-    def test_no_thread_outlives_a_call(self, two_cpus):
-        stats = self._stats()
+    # (M, K, n_mc, seed): chunks of one batch paired on the worker, or
+    # one-chunk batches whose next batch the worker draws.
+    WORKER_MODES = pytest.mark.parametrize(
+        "m, k, n_mc, seed", [(100, 16, 200, 4), (16, 2, 2000, 11)], ids=["paired", "draw-ahead"]
+    )
+
+    @WORKER_MODES
+    def test_no_thread_outlives_a_call(self, two_cpus, m, k, n_mc, seed):
+        stats = _stats(m, k, seed=seed)
         before = threading.active_count()
-        zf = estimate_zf_statistics(stats, self.N_MC, 7)
+        zf = estimate_zf_statistics(stats, n_mc, 7)
         assert threading.active_count() == before
-        validate_sinr(stats, zf, np.full(self.K, 1e-3), rho_f=2.0, n_mc=self.N_MC, rng=8)
+        validate_sinr(stats, zf, np.full(k, 1e-3), rho_f=2.0, n_mc=n_mc, rng=8)
         assert threading.active_count() == before
         # A pool kept across calls would have started its thread in an
         # earlier test, so the count alone would not see it.
         assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
+    @WORKER_MODES
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-    def test_child_forked_after_an_estimate_finishes_its_own(self, two_cpus):
-        stats = self._stats()
-        want = estimate_zf_statistics(stats, self.N_MC, 9)
+    def test_child_forked_after_an_estimate_finishes_its_own(self, two_cpus, m, k, n_mc, seed):
+        stats = _stats(m, k, seed=seed)
+        want = estimate_zf_statistics(stats, n_mc, 9)
         ctx = multiprocessing.get_context("fork")
         receiver, sender = ctx.Pipe(duplex=False)
 
         def child():
-            zf = estimate_zf_statistics(stats, self.N_MC, 9)
+            zf = estimate_zf_statistics(stats, n_mc, 9)
             sender.send((zf.gamma, zf.theta, zf.gamma_se, zf.theta_se))
 
         process = ctx.Process(target=child)
@@ -520,7 +522,7 @@ class TestWorkerThread:
 
 
 class TestDrawAhead:
-    """The next batch drawn on the worker, as if every draw were accepted, and taken back where one was not."""
+    """The next scheduled batch drawn on the worker while the caller works on the current one."""
 
     @staticmethod
     def _assert_estimate_matches(stats, n_mc, rng_seed):
@@ -534,16 +536,36 @@ class TestDrawAhead:
 
     @staticmethod
     def _first_batch(stats, n_mc, seed):
-        precoder, _, drawn = next(_oracle_batches(stats, n_mc, np.random.default_rng(seed), zfstats.ZF_BATCH))
-        return precoder.shape[0], drawn
+        precoder, _, ok = next(_oracle_batches(stats, n_mc, np.random.default_rng(seed), zfstats.ZF_BATCH))
+        return precoder.shape[0], ok.size
 
     def test_rejection_before_a_short_last_batch(self, monkeypatch, two_cpus):
-        # One of 512 draws of the first batch is rejected, so the last batch
-        # holds 489 draws where the worker drew 488.
+        # One of 512 draws of the first batch is rejected and one of the 488
+        # of the second, so a make-up batch of two draws follows them.
         stats = _stats(3, 2, seed=5)
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 200.0)
         assert self._first_batch(stats, 1000, 0) == (511, 512)
-        assert self._assert_estimate_matches(stats, 1000, 0).n_rejected == 1
+        assert self._assert_estimate_matches(stats, 1000, 0).n_rejected == 2
+
+    def test_worker_draws_only_scheduled_batches(self, monkeypatch, two_cpus):
+        # The one rejection, in the first batch, changes no scheduled batch:
+        # the worker draws the second as 488 draws, the caller uses it as
+        # drawn, and the caller draws the make-up batch itself. No other read
+        # means no worker draw went unused.
+        caller = threading.current_thread()
+        read = zfstats._Reader.__call__
+        reads = []
+
+        def spy(reader, shape):
+            reads.append((shape, threading.current_thread() is caller))
+            return read(reader, shape)
+
+        monkeypatch.setattr(zfstats._Reader, "__call__", spy)
+        monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 200.0)
+        stats = _stats(3, 2, seed=5)
+        assert self._first_batch(stats, 1000, 5) == (511, 512)
+        assert self._assert_estimate_matches(stats, 1000, 5).n_rejected == 1
+        assert reads == [((2, 512, 3, 2), True), ((2, 488, 3, 2), False), ((2, 1, 3, 2), True)]
 
     @staticmethod
     def _assert_validate_matches(stats, zf, n_mc, rng_seed):
@@ -558,8 +580,9 @@ class TestDrawAhead:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_rejections_in_validation_batches(self, monkeypatch, two_cpus):
-        # About 5% of the draws are rejected, in every batch: each batch's
-        # symbol rows and the next batch's size differ from the worker's.
+        # About 5% of the draws are rejected, in every batch: each batch
+        # leaves its rejected draws' symbol rows unused, and make-up batches
+        # follow the scheduled ones.
         stats = _stats(3, 2, seed=5)
         zf = estimate_zf_statistics(stats, 1000, 0)
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 30.0)
@@ -567,8 +590,8 @@ class TestDrawAhead:
 
     def test_shared_stream_with_a_rejection(self, monkeypatch, two_cpus):
         # The prefix is a first batch at M=5: the worker's second batch reads
-        # past it on a fresh copy of the generator, and the rejection in the
-        # first batch sends the reader back inside the prefix.
+        # past it on a fresh copy of the generator, and the caller's make-up
+        # batch reads on from there.
         stats = _stats(3, 2, seed=5)
         monkeypatch.setattr(zfstats, "CONDITION_LIMIT", 200.0)
         got = estimate_zf_statistics(stats, 1000, SharedNormals(0, 2 * zfstats.ZF_BATCH * 5 * 2))
@@ -590,8 +613,9 @@ class TestDrawAhead:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_rejection_cap_leaves_the_generator_after_the_last_batch(self, two_cpus):
-        # Every draw is rejected; the loop raises after the batch that passes
-        # 2 * n_mc + 1000 attempts, with the worker's draw taken back.
+        # Every draw is rejected; the loop raises after the make-up batch that
+        # passes 2 * n_mc + 1000 attempts, and the worker drew only the
+        # scheduled batches.
         var_hat = np.column_stack([np.full(6, 1e-10), np.zeros(6)])
         stats = MmseStats(var_hat=var_hat, var_err=np.full((6, 2), 1e-12))
         rng = np.random.default_rng(3)
@@ -636,40 +660,6 @@ class TestDrawAhead:
             self._assert_validate_matches(stats, zf, 3000, 2)
         finally:
             sys.setswitchinterval(interval)
-
-    def test_no_thread_outlives_a_call(self, two_cpus):
-        stats = _stats(16, 2, seed=11)
-        before = threading.active_count()
-        zf = estimate_zf_statistics(stats, 2000, 7)
-        assert threading.active_count() == before
-        validate_sinr(stats, zf, np.array([0.04, 0.01]), rho_f=2.0, n_mc=2000, rng=8)
-        assert threading.active_count() == before
-        assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-    def test_child_forked_after_an_estimate_finishes_its_own(self, two_cpus):
-        stats = _stats(16, 2, seed=11)
-        want = estimate_zf_statistics(stats, 2000, 9)
-        ctx = multiprocessing.get_context("fork")
-        receiver, sender = ctx.Pipe(duplex=False)
-
-        def child():
-            zf = estimate_zf_statistics(stats, 2000, 9)
-            sender.send((zf.gamma, zf.theta, zf.gamma_se, zf.theta_se))
-
-        process = ctx.Process(target=child)
-        process.start()
-        try:
-            assert receiver.poll(60), "the forked child did not finish its estimate"
-            got = receiver.recv()
-        finally:
-            process.join(10)
-            if process.is_alive():
-                process.kill()
-                process.join()
-        for g, w in zip(got, (want.gamma, want.theta, want.gamma_se, want.theta_se)):
-            assert np.array_equal(g, w)
-        assert process.exitcode == 0
 
 
 _SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), max_size=6)
