@@ -62,20 +62,15 @@ class SharedNormals:
 
     def reader(self) -> "_Reader":
         """A draw callable, shape -> array, reading the stream from position 0."""
-        return _Reader(self._prefix, origin=self._rng)
+        return _Reader(self._prefix, copy.deepcopy(self._rng))
 
 
 class _Reader:
-    """A draw callable, shape -> standard normals: `prefix`, then a generator.
+    """A draw callable, shape -> standard normals: `prefix`, then the generator `rng`."""
 
-    The generator is `rng`, or where that is None a copy of `origin` made at
-    the first read past the prefix.
-    """
-
-    def __init__(self, prefix: np.ndarray, rng=None, origin=None):
+    def __init__(self, prefix: np.ndarray, rng):
         self._prefix = prefix
         self._rng = rng
-        self._origin = origin
         self._pos = 0
 
     def __call__(self, shape):
@@ -86,8 +81,6 @@ class _Reader:
         out = np.empty(self._pos - start)
         head = prefix[start:]
         out[: head.size] = head
-        if self._rng is None:
-            self._rng = copy.deepcopy(self._origin)
         self._rng.standard_normal(out=out[head.size :])
         return out.reshape(shape)
 
@@ -147,19 +140,18 @@ def estimate_zf_statistics(stats: MmseStats, n_mc: int, rng) -> ZfStatistics:
     Returns the means together with their standard errors.
     """
     m, k = stats.shape
-    if m <= k:
-        raise ValueError(f"need M > K for invertibility, got M={m}, K={k}")
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
     draw = rng.reader() if isinstance(rng, SharedNormals) else _Reader(_NO_PREFIX, np.random.default_rng(rng))
 
-    def terms(precoder):
+    def draw_batch(b):
+        return draw((2, b, m, k)), None
+
+    def terms(precoder, *_):
         abs_b2 = np.abs(precoder) ** 2  # (b', M, K)
         # gamma draw for row k: sum_m var_err[m, k] |B[m, i]|^2
         gamma_draw = stats.var_err.T @ abs_b2
         return abs_b2, abs_b2**2, gamma_draw, gamma_draw**2
 
-    (theta_sum, theta_sq, gamma_sum, gamma_sq), accepted, attempts = _zf_sums(stats, n_mc, draw, terms)
+    (theta_sum, theta_sq, gamma_sum, gamma_sq), accepted, attempts = _zf_sums(stats, n_mc, draw_batch, terms)
 
     rejected = attempts - accepted
     if rejected / attempts > 0.01:
@@ -193,15 +185,16 @@ def validate_sinr(
     rho_f * eta_k per realization; the interference term is averaged and
     returned with its standard error for comparison against the gamma model.
 
-    rng gives each batch the normals of the estimated channel, then of the
-    error channel, then one row of symbol phases per draw of the batch; a
-    rejected draw's row goes unused. Batch sizes follow the schedule of
-    _zf_sums, so rng ends where drawing the batches in turn leaves it.
+    Each batch _zf_sums asks for takes from rng the normals of the
+    estimated channel, then of the error channel, then one row of symbol
+    phases per draw. The accepted draws' error channels are formed chunk by
+    chunk from their normals, and a rejected draw's symbol row goes unused.
+    Batch sizes follow the schedule of _zf_sums, so rng ends where drawing
+    the batches in turn leaves it. Requires M > K, checked before anything
+    is drawn.
     """
     eta = np.asarray(eta, dtype=float)
-    k = stats.shape[1]
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
+    m, k = stats.shape
     if eta.shape != (k,):
         raise ValueError(f"eta must have shape ({k},), got {eta.shape}")
     if not np.all(np.isfinite(eta) & (eta >= 0)):
@@ -211,21 +204,23 @@ def validate_sinr(
     if zf.theta.shape != stats.shape:
         raise ValueError(f"zf statistics are for shape {zf.theta.shape}, the channel is {stats.shape}")
     rng = np.random.default_rng(rng)
+    draw = _Reader(_NO_PREFIX, rng)
+    scale_err = np.sqrt(stats.var_err / 2.0)
     amp = np.sqrt(eta)
 
-    def draw_symbols(b):
-        return np.exp(2j * np.pi * rng.random((b, k)))
+    def draw_batch(b):
+        return draw((2, b, m, k)), (draw((2, b, m, k)), np.exp(2j * np.pi * rng.random((b, k))))
 
-    def terms(precoder, g_err, symbols):
+    def terms(precoder, ok, part, drawn):
+        normals_err, symbols = drawn
         # error channel of user k through the precoder columns: (b', K, K)
+        g_err = _complex_from_normals(scale_err, normals_err[:, part][:, ok])
         leak = np.swapaxes(g_err, 1, 2) @ precoder
-        interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols)[:, :, None])[:, :, 0]
+        interf_amp = np.sqrt(rho_f) * (leak @ (amp * symbols[part][ok])[:, :, None])[:, :, 0]
         p = np.abs(interf_amp) ** 2
         return p, p**2
 
-    (interf_sum, interf_sq), accepted, _ = _zf_sums(
-        stats, n_mc, _Reader(_NO_PREFIX, rng), terms, draw_symbols
-    )
+    (interf_sum, interf_sq), accepted, _ = _zf_sums(stats, n_mc, draw_batch, terms)
 
     return SinrValidation(
         desired=rho_f * eta,
@@ -236,40 +231,44 @@ def validate_sinr(
     )
 
 
-def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, draw_symbols=None) -> tuple:
+def _zf_sums(stats: MmseStats, n_mc: int, draw_batch, terms) -> tuple:
     """Sums of per-draw terms over zero-forcing draws until n_mc are accepted.
 
     Scheduled batches of min(ZF_BATCH, n_mc - attempted) draws run until
     n_mc draws have been attempted; only then are rejected draws made up, in
     batches of min(ZF_BATCH, n_mc - accepted). So what is drawn does not
-    depend on acceptance until every scheduled batch is drawn. Each batch
-    takes the normals of g_hat with one call of draw (a _Reader), then, where
-    draw_symbols is given, the normals of g_err with another and
-    draw_symbols(b) for one symbol row per draw of the batch. Each batch runs
+    depend on acceptance until every scheduled batch is drawn.
+    draw_batch(b) returns the batch's g_hat normals, shape (2, b, M, K), and
+    whatever else the caller draws for those draws. Each batch runs
     _batched_zf on chunks of at most CHUNK_BYTES of complex draws (at least
-    one draw).
+    one draw). Requires n_mc >= 1 and M > K, checked before anything is
+    drawn.
 
     Where the process may use two CPUs, one worker thread helps. If a batch
     holds several chunks, it computes the odd chunks' precoders while the
     caller computes the even ones. If batches are one chunk and there are
-    several, it draws the next scheduled batch while the caller works on the
-    current one; a make-up batch the caller draws itself. Either way the
-    values and the stream's final position are those of drawing in turn. An
-    error in the worker is raised where its result is taken, and no thread
-    outlives the call. A call of one batch of one chunk starts no thread.
+    several, it calls draw_batch for the next scheduled batch while the
+    caller works on the current one; a make-up batch the caller draws itself.
+    Either way the values and the stream's final position are those of
+    drawing in turn. An error in the worker is raised where its result is
+    taken, and no thread outlives the call. A call of one batch of one chunk
+    starts no thread.
 
-    terms(precoder), or terms(precoder, g_err, symbols) where draw_symbols is
-    given, returns arrays with one row per accepted draw of the chunk; g_err
-    holds those draws' error channels and symbols their symbol rows. terms
-    runs in the caller, chunk by chunk in order. Each batch sums its rows in
-    order over its chunks, and the batch sums are added up. Returns (sums,
-    accepted, attempted). Raises SingularChannelError once more than
+    terms(precoder, ok, part, extra) gets the chunk's accepted precoders, its
+    acceptance mask, its slice `part` of the batch and the batch's extra
+    draws, and returns arrays with one row per accepted draw of the chunk.
+    terms runs in the caller, chunk by chunk in order. Each batch sums its
+    rows in order over its chunks, and the batch sums are added up. Returns
+    (sums, accepted, attempted). Raises SingularChannelError once more than
     2 * n_mc + 1000 draws have been attempted.
     """
     m, k = stats.shape
+    if m <= k:
+        raise ValueError(f"need M > K for invertibility, got M={m}, K={k}")
+    if n_mc < 1:
+        raise ValueError("n_mc must be at least 1")
     chunk = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * m * k))
     scale_hat = np.sqrt(stats.var_hat / 2.0)
-    scale_err = np.sqrt(stats.var_err / 2.0)
     # No batch is larger than the first, so where the first is one chunk no
     # batch hands off chunks, and the worker draws ahead instead where there
     # is more than one batch (queued with odd chunks, a draw only delays
@@ -284,19 +283,14 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, draw_symbols=None) -> tup
     attempts = 0
     max_attempts = 2 * n_mc + 1000
 
-    def draw_batch(b):
-        normals_hat = draw((2, b, m, k))
-        if draw_symbols is None:
-            return b, normals_hat, None, None
-        return b, normals_hat, draw((2, b, m, k)), draw_symbols(b)
-
     def precoders(normals_hat, start):
         return _batched_zf(_complex_from_normals(scale_hat, normals_hat[:, start : start + chunk]))
 
     with ThreadPoolExecutor(max_workers=1) if paired or draw_ahead else contextlib.nullcontext() as pool:
         drawn = draw_batch(min(ZF_BATCH, n_mc))
         while True:
-            b, normals_hat, normals_err, symbols = drawn
+            normals_hat, extra = drawn
+            b = normals_hat.shape[1]
             attempts += b
             starts = range(0, b, chunk)
             handoff = paired and len(starts) > 1
@@ -315,11 +309,7 @@ def _zf_sums(stats: MmseStats, n_mc: int, draw, terms, draw_symbols=None) -> tup
                 else:
                     precoder, ok = precoders(normals_hat, start)
                 accepted += precoder.shape[0]
-                if symbols is None:
-                    rows = terms(precoder)
-                else:
-                    g_err = _complex_from_normals(scale_err, normals_err[:, start : start + chunk][:, ok])
-                    rows = terms(precoder, g_err, symbols[start : start + chunk][ok])
+                rows = terms(precoder, ok, slice(start, start + chunk), extra)
                 if batch is None:
                     batch = [r.sum(axis=0) for r in rows]
                 else:

@@ -182,6 +182,20 @@ class TestValidateSinrInputs:
         with pytest.raises(ValueError, match="rho_f must be finite and positive"):
             validate_sinr(self.stats, self.zf, np.array([0.1, 0.1]), rho_f=rho_f, n_mc=10, rng=0)
 
+    def test_rejects_no_more_aps_than_users_before_drawing(self, monkeypatch):
+        # Left to run, every Gram matrix is singular: tens of thousands of
+        # draws end in a rejection-cap error that does not name the shape.
+        read = zfstats._Reader.__call__
+        reads = []
+        monkeypatch.setattr(zfstats._Reader, "__call__", lambda reader, shape: reads.append(shape) or read(reader, shape))
+        zf = zfstats.ZfStatistics(gamma=np.zeros((3, 3)), theta=np.zeros((2, 3)), n_realizations=1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="M > K"):
+            validate_sinr(_stats(2, 3), zf, np.full(3, 0.1), rho_f=1.0, n_mc=20_000, rng=rng)
+        assert reads == []
+        assert rng.bit_generator.state == state
+
 
 # Reference implementation: the per-batch Monte Carlo as it was before the
 # chunked rewrite (names and error messages shortened), kept as the bitwise
@@ -660,6 +674,44 @@ class TestDrawAhead:
             self._assert_validate_matches(stats, zf, 3000, 2)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestInverseWishartMean:
+    """The estimates against a closed form, within their standard errors.
+
+    Where every AP sees user k at one estimate variance s_k, g_hat is
+    G diag(sqrt(s)) with G of i.i.d. CN(0, 1) entries, and B^H B is the
+    inverse of the Gram matrix. The mean of a K x K complex inverse Wishart
+    matrix of M degrees of freedom is I / (M - K) (Tulino and Verdu, 2004),
+    and the M rows of B share its diagonal alike, so
+    theta[m, k] = 1 / (M s_k (M - K)) and gamma = var_err^T theta.
+    """
+
+    # (M, K, n_mc): one batch of one chunk, so no thread; one batch of 25
+    # chunks, so the paired hand-off; M - K = 4, the least at which the
+    # standard error's own variance is finite; 20 one-chunk batches, so the
+    # draw-ahead.
+    SHAPES = [(8, 2, 300), (100, 16, 500), (20, 16, 500), (16, 2, 10_000)]
+
+    def test_estimates_match_the_closed_form(self, two_cpus):
+        z_theta, z_gamma = [], []
+        for m, k, n_mc in self.SHAPES:
+            for seed in range(100, 110):
+                rng = np.random.default_rng(seed)
+                stats = mmse_stats(np.tile(10.0 ** rng.uniform(-12.0, -9.0, k), (m, 1)), 1e9, k)
+                zf = estimate_zf_statistics(stats, n_mc, rng)
+                theta = np.broadcast_to(1.0 / (m * stats.var_hat[0] * (m - k)), (m, k))
+                z = [(zf.theta - theta) / zf.theta_se, (zf.gamma - stats.var_err.T @ theta) / zf.gamma_se]
+                worst = max(np.abs(z[0]).max(), np.abs(z[1]).max())
+                assert worst <= 5.0, f"M={m}, K={k}, seed {seed}: |z| = {worst:.2f}"
+                z_theta.append(z[0].ravel())
+                z_gamma.append(z[1].ravel())
+        z_theta, z_gamma = np.concatenate(z_theta), np.concatenate(z_gamma)
+        # Pooled over shapes and seeds: gamma's K rows are scaled copies of
+        # one another here, so gamma's cells come in blocks of K equal z.
+        assert np.mean(np.abs(z_theta) > 3.0) <= 0.01
+        assert np.mean(np.abs(z_gamma) > 3.0) <= 0.01
+        assert 0.85 <= np.std(z_theta) <= 1.15
 
 
 _SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), max_size=6)
