@@ -683,8 +683,9 @@ class TestInverseWishartMean:
     G diag(sqrt(s)) with G of i.i.d. CN(0, 1) entries, and B^H B is the
     inverse of the Gram matrix. The mean of a K x K complex inverse Wishart
     matrix of M degrees of freedom is I / (M - K) (Tulino and Verdu, 2004),
-    and the M rows of B share its diagonal alike, so
-    theta[m, k] = 1 / (M s_k (M - K)) and gamma = var_err^T theta.
+    and each of the M rows of B holds an equal share of its diagonal in
+    expectation, so theta[m, k] = 1 / (M s_k (M - K)) and
+    gamma = var_err^T theta.
     """
 
     # (M, K, n_mc): one batch of one chunk, so no thread; one batch of 25
@@ -711,6 +712,7 @@ class TestInverseWishartMean:
         # one another here, so gamma's cells come in blocks of K equal z.
         assert np.mean(np.abs(z_theta) > 3.0) <= 0.01
         assert np.mean(np.abs(z_gamma) > 3.0) <= 0.01
+        # A standard error too large shrinks every z, which only this catches.
         assert 0.85 <= np.std(z_theta) <= 1.15
 
 
